@@ -12,8 +12,7 @@
 //! step_throughput --json OUT           # write measurements as JSON
 //! step_throughput --write-baseline OUT # alias of --json (intent marker)
 //! step_throughput --check BASELINE     # fail on >20% min-time regression
-//!                                      # or an engine speedup below the
-//!                                      # per-class floor
+//!                                      # or a change in jumped cycles
 //! ```
 //!
 //! The three classes bracket the design space, and the two latency-bound
@@ -35,6 +34,11 @@
 //!
 //! Every sample also asserts the two engines' reports serialize
 //! identically, so the perf job doubles as an equivalence smoke test.
+//! Both engines run the same per-cycle step; the per-cycle engine just
+//! never jumps, so `wall_speedup` measures jump leverage alone and is
+//! reported for information. The gate on the scheduler is the exact
+//! `skipped_cycles` count: deterministic, and it moves the moment the
+//! engine stops jumping a cycle it used to.
 
 use std::time::Instant;
 
@@ -62,22 +66,6 @@ const PASSES: usize = 3;
 /// Maximum tolerated min-time regression against the baseline.
 const REGRESSION_LIMIT: f64 = 0.20;
 
-/// Required wall-clock leverage of the event engine per class. The
-/// recorded baseline (BENCH_step_throughput.json) demonstrates ~64x
-/// miss-dominated and ~23x hit-dominated; the floors sit well under
-/// those so they catch a broken scheduler, not machine noise (the
-/// >20% min-time regression check is the precise gate).
-const MIN_MISS_SPEEDUP: f64 = 30.0;
-/// Hit-dominated floor — the class that used to run *slower* with
-/// fast-forward on (0.77x at the PR-4 baseline); the event engine must
-/// keep it an order of magnitude ahead of per-cycle stepping.
-const MIN_HIT_SPEEDUP: f64 = 10.0;
-/// Contended-lock floor. Spinners re-execute their loop every few
-/// cycles, so there is little idle time to jump (recorded ~1.5x) — the
-/// floor only asserts the event engine never falls *behind* per-cycle
-/// stepping on the scale-out class.
-const MIN_CONTENDED_SPEEDUP: f64 = 1.2;
-
 /// One measured workload class.
 #[derive(Debug, Serialize, Deserialize)]
 struct ClassResult {
@@ -92,7 +80,8 @@ struct ClassResult {
     sim_cycles: u64,
     /// Simulated cycles per wall second at the event-engine minimum.
     sim_cycles_per_sec: f64,
-    /// Min-time ratio: per-cycle stepping over the event engine.
+    /// Min-time ratio: per-cycle stepping over the event engine — the
+    /// leverage of jumping alone (informational, not gated).
     wall_speedup: f64,
     /// Cycles the event engine jumped over (deterministic).
     skipped_cycles: u64,
@@ -286,6 +275,12 @@ fn check(results: &[ClassResult], baseline_path: &str) -> Result<(), String> {
                 r.name, b.sim_cycles, r.sim_cycles
             ));
         }
+        if r.skipped_cycles != b.skipped_cycles {
+            problems.push(format!(
+                "{}: jumped cycles moved {} -> {} (the event scheduler changed)",
+                r.name, b.skipped_cycles, r.skipped_cycles
+            ));
+        }
         let ratio = r.min_ns as f64 / b.min_ns as f64;
         if ratio > 1.0 + REGRESSION_LIMIT {
             problems.push(format!(
@@ -295,22 +290,6 @@ fn check(results: &[ClassResult], baseline_path: &str) -> Result<(), String> {
                 b.min_ns,
                 (ratio - 1.0) * 100.0,
                 REGRESSION_LIMIT * 100.0
-            ));
-        }
-    }
-    for (class, floor) in [
-        ("miss_dominated", MIN_MISS_SPEEDUP),
-        ("hit_dominated", MIN_HIT_SPEEDUP),
-        ("contended_lock", MIN_CONTENDED_SPEEDUP),
-    ] {
-        let r = results
-            .iter()
-            .find(|r| r.name == class)
-            .ok_or_else(|| format!("{class} class missing"))?;
-        if r.wall_speedup < floor {
-            problems.push(format!(
-                "{class}: event-engine speedup {:.1}x < required {floor:.0}x",
-                r.wall_speedup
             ));
         }
     }

@@ -53,9 +53,6 @@ pub struct EventQueue {
     near: [u64; WORDS],
     /// Wake-ups at `base + NEAR` or later (unsorted duplicates fine).
     far: BinaryHeap<Reverse<u64>>,
-    /// Queued wake-ups (near bits + far entries), for cheap emptiness
-    /// checks. Far duplicates count once per insertion.
-    len: usize,
 }
 
 impl EventQueue {
@@ -66,14 +63,7 @@ impl EventQueue {
             base: 0,
             near: [0; WORDS],
             far: BinaryHeap::new(),
-            len: 0,
         }
-    }
-
-    /// Whether any wake-up (possibly stale) is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Publishes a wake-up at absolute cycle `at`. Duplicates are
@@ -95,13 +85,9 @@ impl EventQueue {
         if at < self.base + NEAR {
             let idx = (at - self.base) as usize;
             let (word, bit) = (idx / 64, idx % 64);
-            if self.near[word] & (1 << bit) == 0 {
-                self.near[word] |= 1 << bit;
-                self.len += 1;
-            }
+            self.near[word] |= 1 << bit;
         } else {
             self.far.push(Reverse(at));
-            self.len += 1;
         }
     }
 
@@ -115,13 +101,11 @@ impl EventQueue {
             if self.near[w] != 0 {
                 let bit = self.near[w].trailing_zeros() as u64;
                 self.near[w] &= self.near[w] - 1;
-                self.len -= 1;
                 return Some(self.base + (w as u64) * 64 + bit);
             }
         }
         // Then the far heap (its minimum is ≥ base + NEAR ≥ after).
         let Reverse(at) = self.far.pop()?;
-        self.len -= 1;
         Some(at)
     }
 
@@ -133,12 +117,9 @@ impl EventQueue {
         }
         let delta = to - self.base;
         if delta >= NEAR {
-            for w in &mut self.near {
-                self.len -= w.count_ones() as usize;
-                *w = 0;
-            }
+            self.near = [0; WORDS];
         } else {
-            // Shift the bitmap down by `delta` bits, counting the dropped.
+            // Shift the bitmap down by `delta` bits.
             let (words, bits) = ((delta / 64) as usize, delta % 64);
             for w in 0..WORDS {
                 let src = w + words;
@@ -149,13 +130,8 @@ impl EventQueue {
                         v |= self.near[src + 1] << (64 - bits);
                     }
                 }
-                self.len -= (self.near[w].count_ones()) as usize;
-                self.len += v.count_ones() as usize;
                 self.near[w] = v;
             }
-            // The loop above recounted every word; restore counts for the
-            // words it double-visited is unnecessary because each word was
-            // replaced exactly once.
         }
         self.base = to;
         // Pull far entries that the window now covers; entries the window
@@ -166,7 +142,6 @@ impl EventQueue {
                 break;
             }
             self.far.pop();
-            self.len -= 1;
             if at >= self.base {
                 self.schedule(at);
             }
@@ -195,7 +170,6 @@ mod tests {
         assert_eq!(q.pop_at_or_after(0), Some(7));
         assert_eq!(q.pop_at_or_after(0), Some(9));
         assert_eq!(q.pop_at_or_after(0), None);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -218,7 +192,7 @@ mod tests {
         assert_eq!(q.pop_at_or_after(0), Some(3));
         assert_eq!(q.pop_at_or_after(4), Some(NEAR + 70));
         assert_eq!(q.pop_at_or_after(NEAR + 71), Some(NEAR + 100));
-        assert!(q.is_empty());
+        assert_eq!(q.pop_at_or_after(NEAR + 101), None);
     }
 
     #[test]
@@ -256,7 +230,7 @@ mod tests {
         q.schedule(NEAR - 1);
         q.schedule(3 * NEAR + 5);
         assert_eq!(q.pop_at_or_after(2 * NEAR), Some(3 * NEAR + 5));
-        assert!(q.is_empty());
+        assert_eq!(q.pop_at_or_after(0), None);
     }
 
     #[test]

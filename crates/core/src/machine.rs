@@ -73,7 +73,7 @@ impl Default for MachineConfig {
 /// bit-identical whichever way the cycles were covered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RunTelemetry {
-    /// Cycles simulated by a full [`Machine::step`].
+    /// Cycles simulated by a full machine step.
     pub stepped_cycles: u64,
     /// Cycles covered by discrete-event jumps.
     pub skipped_cycles: u64,
@@ -108,8 +108,10 @@ pub enum Engine {
     /// cycles.
     #[default]
     Event,
-    /// The plain per-cycle loop (`--legacy-step`): every component steps
-    /// every cycle. Kept as the differential oracle for the event engine.
+    /// The per-cycle loop (`--legacy-step`): the same step as
+    /// [`Engine::Event`], taken at every cycle, never jumping. Kept as the
+    /// differential oracle for the jump and its replay (skipped-cycle
+    /// accounting, the invariant cadence, watchdog edges).
     LegacyStep,
 }
 
@@ -174,15 +176,12 @@ impl Machine {
         self.engine = engine;
     }
 
-    /// Back-compat alias for [`Self::set_engine`]: `false` selects the
-    /// per-cycle loop (the `--no-fast-forward` / `--legacy-step` escape
-    /// hatch), `true` the event engine.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.engine = if on {
-            Engine::Event
-        } else {
-            Engine::LegacyStep
-        };
+    /// Test hook (execute-queue regression): core `proc` leaves the next
+    /// operand-ready ALU/branch it fetches out of its pending-execute
+    /// queue. The `ExecQueueComplete` invariant must catch it.
+    #[doc(hidden)]
+    pub fn drop_next_enqueue_for_test(&mut self, proc: usize) {
+        self.procs[proc].drop_next_enqueue_for_test();
     }
 
     /// Test hook (stale-horizon regression): publishes a wake-up exactly
@@ -241,8 +240,12 @@ impl Machine {
         self.cycle
     }
 
-    /// Advances one cycle; returns `true` when every core has halted.
-    pub fn step(&mut self) -> bool {
+    /// Advances one cycle and collects every component's progress verdict
+    /// and published wake-ups. Under [`Engine::Event`] the wake-ups feed
+    /// the calendar queue; under [`Engine::LegacyStep`] they are
+    /// discarded, since a queue that is never popped would only grow.
+    /// Returns `(all cores halted, anything progressed)`.
+    fn step(&mut self) -> (bool, bool) {
         self.mem.tick(self.cycle);
         let mut all_halted = true;
         for p in &mut self.procs {
@@ -250,7 +253,20 @@ impl Machine {
             all_halted &= p.halted();
         }
         self.cycle += 1;
-        all_halted
+        let mut progress = self.mem.take_progress();
+        let event_engine = self.engine == Engine::Event;
+        let events = &mut self.events;
+        let mut publish = |at| {
+            if event_engine {
+                events.schedule(at);
+            }
+        };
+        self.mem.drain_wakeups(&mut publish);
+        for p in &mut self.procs {
+            progress |= p.take_progress();
+            p.drain_wakeups(&mut publish);
+        }
+        (all_halted, progress)
     }
 
     /// Takes the first structured fault recorded anywhere in the machine
@@ -292,31 +308,8 @@ impl Machine {
         let mut telemetry = RunTelemetry::default();
         let mut timed_out = true;
         let mut failure = None;
-        let event_engine = self.engine == Engine::Event;
-        if event_engine {
-            // The machine may have been manually stepped with the
-            // per-cycle tick (which discards event bookkeeping) before
-            // `run`; rebuild the pending-work queues and republish every
-            // already-scheduled wake-up from architectural state.
-            for p in &mut self.procs {
-                p.prepare_event_engine();
-            }
-        }
         while self.cycle < self.cfg.max_cycles {
-            let halted = if event_engine {
-                self.step_event()
-            } else {
-                self.step()
-            };
-            // Collect the per-component progress verdicts and published
-            // wake-ups every stepped cycle (the flags accumulate until
-            // taken). Pure bookkeeping: no observable effect on the run.
-            let mut progress = self.mem.take_progress();
-            let events = &mut self.events;
-            for p in &mut self.procs {
-                progress |= p.take_progress();
-                p.drain_wakeups(|at| events.schedule(at));
-            }
+            let (halted, progress) = self.step();
             if halted {
                 telemetry.stepped_cycles += 1;
                 timed_out = false;
@@ -348,7 +341,7 @@ impl Machine {
                 timed_out = false;
                 break;
             }
-            if event_engine && !progress {
+            if self.engine == Engine::Event && !progress {
                 if let Err(e) = self.jump(period, &mut watchdog, &mut telemetry) {
                     failure = Some(e);
                     timed_out = false;
@@ -356,21 +349,7 @@ impl Machine {
                 }
             }
         }
-        (self.into_report_with(timed_out, failure), telemetry)
-    }
-
-    /// Advances one cycle with the event-engine tick (consuming the
-    /// per-core pending-work queues); returns `true` when every core has
-    /// halted. See [`Self::step`] for the per-cycle equivalent.
-    fn step_event(&mut self) -> bool {
-        self.mem.tick(self.cycle);
-        let mut all_halted = true;
-        for p in &mut self.procs {
-            p.tick_event(self.cycle, &mut self.mem);
-            all_halted &= p.halted();
-        }
-        self.cycle += 1;
-        all_halted
+        (self.into_report(timed_out, failure), telemetry)
     }
 
     /// Jumps from the current (frozen) cycle to the earliest queued
@@ -381,12 +360,12 @@ impl Machine {
     /// failure) is bit-identical to stepping.
     ///
     /// The last stepped cycle mutated nothing, and every cycle at which a
-    /// component can act on its own is published (the memory system's
-    /// horizon is re-queued here; processors publish at event-creation
-    /// time), so the machine's state is frozen strictly before the jump
-    /// target. Stale queue entries (a squashed ALU's finish cycle) only
-    /// shorten the jump — stepping a frozen cycle is byte-identical to
-    /// skipping it. What makes the replay exact:
+    /// component can act on its own is published at event-creation time
+    /// (memory deliveries and core wake-ups alike), so the machine's
+    /// state is frozen strictly before the jump target. Stale queue
+    /// entries (a squashed ALU's finish cycle) only shorten the jump —
+    /// stepping a frozen cycle is byte-identical to skipping it. What
+    /// makes the replay exact:
     /// - every skipped cycle classifies into the same breakdown bucket as
     ///   the quiescent cycle that opened the span;
     /// - the first in-span invariant check's verdict holds for all later
@@ -406,12 +385,6 @@ impl Machine {
     ) -> Result<(), SimError> {
         let max = self.cfg.max_cycles;
         let start = self.cycle;
-        // The memory system keeps its own scheduler heap; publish its
-        // horizon (always `>= start`: ticking `start - 1` drained
-        // everything due) before popping, so the pop sees every source.
-        if let Some(h) = self.mem.next_event() {
-            self.events.schedule(h);
-        }
         // The step at the popped cycle consumes the event; steps strictly
         // before it are frozen. Capping at `max_cycles` makes a timeout
         // span land exactly where per-cycle stepping would stop, with the
@@ -476,13 +449,7 @@ impl Machine {
         Ok(())
     }
 
-    /// Finalizes a (possibly manually stepped) machine into a report.
-    #[must_use]
-    pub fn into_report(self, timed_out: bool) -> RunReport {
-        self.into_report_with(timed_out, None)
-    }
-
-    fn into_report_with(mut self, timed_out: bool, failure: Option<SimError>) -> RunReport {
+    fn into_report(mut self, timed_out: bool, failure: Option<SimError>) -> RunReport {
         // A cut-off run has cores that never halted; their `halted_at` is
         // meaningless (zero), so report how far the machine actually got:
         // up to the first violation on failure, the full budget on

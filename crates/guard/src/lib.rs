@@ -128,6 +128,9 @@ pub enum InvariantKind {
     /// A core's per-cause cycle breakdown does not sum to the cycles it
     /// has been accounted for (one classified bucket per tick).
     CycleBreakdownSum,
+    /// A core's pending-execute queue is out of program order, or misses
+    /// an ALU/branch that a full reorder-buffer scan would execute.
+    ExecQueueComplete,
 }
 
 impl fmt::Display for InvariantKind {
@@ -145,6 +148,7 @@ impl fmt::Display for InvariantKind {
             InvariantKind::CycleBreakdownSum => {
                 "cycle breakdown components do not sum to total cycles"
             }
+            InvariantKind::ExecQueueComplete => "execute queue misses a ready instruction",
         };
         f.write_str(s)
     }

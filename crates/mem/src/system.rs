@@ -141,6 +141,10 @@ pub struct MemorySystem {
     mshrs: Vec<MshrFile>,
     dir: Directory,
     sched: BinaryHeap<Scheduled>,
+    /// Delivery cycles scheduled since the machine last drained them
+    /// ([`Self::drain_wakeups`]) — published when the action is created,
+    /// like the cores' wake-ups. `sched` still carries the actions.
+    wakeups: Vec<u64>,
     outbox: Vec<Vec<MemEvent>>,
     bound_values: HashMap<DemandToken, u64>,
     stats: MemStats,
@@ -175,6 +179,7 @@ impl MemorySystem {
             mshrs: (0..nprocs).map(|_| MshrFile::new(cfg.mshrs)).collect(),
             dir: Directory::new(cfg.cache.block_bits, cfg.dir_format),
             sched: BinaryHeap::new(),
+            wakeups: Vec::new(),
             outbox: vec![Vec::new(); nprocs],
             bound_values: HashMap::new(),
             stats: MemStats::default(),
@@ -403,6 +408,7 @@ impl MemorySystem {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.sched.push(Scheduled { at, seq, action });
+        self.wakeups.push(at);
     }
 
     fn fresh_txn(&mut self) -> TxnId {
@@ -857,27 +863,27 @@ impl MemorySystem {
     // Event horizon: fast-forward support.
     // ------------------------------------------------------------------
 
-    /// The earliest future cycle at which the memory system can change
-    /// state on its own: the next scheduled delivery. Everything the
-    /// system does is driven by the scheduler heap — every busy directory
-    /// line has a `LineFree` scheduled at its release cycle, every message
-    /// a delivery cycle — so after [`Self::tick`] has drained events due
-    /// `<= now`, the heap's minimum is a sound horizon. Directory requests
-    /// parked behind a busy line wake at that line's `LineFree`; the armed
-    /// fault injector triggers on message *delivery* (it has no timed
-    /// component of its own). `None` means nothing is pending: no future
-    /// cycle changes anything until a processor issues a new access.
-    #[must_use]
-    pub fn next_event(&self) -> Option<u64> {
-        self.sched.peek().map(|s| s.at)
+    /// Drains the delivery cycles scheduled since the last drain into
+    /// `sink`: every future cycle at which the memory system can change
+    /// state on its own. Everything the system does is driven by the
+    /// scheduler heap — every busy directory line has a `LineFree`
+    /// scheduled at its release cycle, every message a delivery cycle —
+    /// and each entry is published here as it is pushed. Directory
+    /// requests parked behind a busy line wake at that line's `LineFree`;
+    /// the armed fault injector triggers on message *delivery* (it has no
+    /// timed component of its own).
+    pub fn drain_wakeups(&mut self, mut sink: impl FnMut(u64)) {
+        for at in self.wakeups.drain(..) {
+            sink(at);
+        }
     }
 
     /// Takes and resets the progress flag: whether anything observable
     /// changed since the last call. The monotone ID counters make even
     /// balanced changes count: a scheduler pop+push, or a failed (retried)
     /// demand issue, each allocate an ID and so flag progress. `false`
-    /// means ticking any cycle before [`Self::next_event`] is a pure
-    /// no-op, which is what lets the machine fast-forward over them.
+    /// means ticking any cycle before the earliest drained wake-up is a
+    /// pure no-op, which is what lets the machine fast-forward over them.
     pub fn take_progress(&mut self) -> bool {
         std::mem::take(&mut self.progress)
     }

@@ -144,24 +144,23 @@ pub struct Processor {
     /// Whether this cycle's port consumer was a prefetch (the stall
     /// counter must still see waiting demand work behind it).
     port_used_by_prefetch: bool,
-    /// Pending execute work for the event engine, in program order:
-    /// ALU entries that are executing (started, finish pending) plus
-    /// ALU/branch entries whose operands are ready but which have not
-    /// started/resolved yet. Entries enter at fetch (when their operands
-    /// resolve at rename) or via [`Self::publish_value`] when a result
-    /// broadcast resolves their last waiting operand; squash prunes the
-    /// younger tail. Consumed only by [`Self::tick_event`] (the legacy
-    /// per-cycle tick clears it). Entries still waiting on an in-flight
-    /// producer are deliberately absent — they cannot act this cycle,
-    /// and the producer's broadcast will enqueue them the cycle they
-    /// become startable.
+    /// Pending execute work, in program order: ALU entries that are
+    /// executing (started, finish pending) plus ALU/branch entries whose
+    /// operands are ready but which have not started/resolved yet.
+    /// Entries enter at fetch (when their operands resolve at rename) or
+    /// via [`Self::publish_value`] when a result broadcast resolves their
+    /// last waiting operand; squash prunes the younger tail. Entries
+    /// still waiting on an in-flight producer are deliberately absent —
+    /// they cannot act this cycle, and the producer's broadcast will
+    /// enqueue them the cycle they become startable. Completeness is the
+    /// `ExecQueueComplete` invariant ([`Self::check_invariants`]).
     exec_queue: VecDeque<Seq>,
     /// Wake-up cycles published since the machine last drained them:
     /// every future cycle at which this core can change state on its own
     /// (a scheduled hit completion, an ALU finish, the refetch stall
     /// expiring), recorded when the event is *created*. The event engine
-    /// feeds them into the machine's calendar queue; the legacy tick
-    /// discards them.
+    /// feeds them into the machine's calendar queue; the per-cycle engine
+    /// drains and discards them.
     wakeups: Vec<u64>,
     /// Set by every architectural mutation this tick. `false` after a
     /// tick means the core is frozen until an external event: nothing a
@@ -178,6 +177,9 @@ pub struct Processor {
     /// Whether the most recent cycle bumped `stats.stall_cycles` (same
     /// replay logic as `last_bucket`).
     last_stalled: bool,
+    /// Test hook: the next operand-ready ALU/branch fetched is left out
+    /// of `exec_queue` ([`Self::drop_next_enqueue_for_test`]).
+    drop_next_enqueue: bool,
     stats: ProcStats,
     /// Event sink; `None` (the default) makes recording a single branch.
     tracer: Option<TraceBuffer>,
@@ -217,6 +219,7 @@ impl Processor {
             progress: false,
             last_bucket: StallBucket::Busy,
             last_stalled: false,
+            drop_next_enqueue: false,
             stats: ProcStats::default(),
             tracer: None,
             fault: None,
@@ -367,53 +370,22 @@ impl Processor {
         }
     }
 
-    /// Rebuilds the event-engine bookkeeping from the current
-    /// architectural state: the pending-execute worklist and a wake-up
-    /// for every already-scheduled future event (hit completions, ALU
-    /// finishes, the refetch stall). Called once when the event engine
-    /// takes over — the machine may have been manually stepped with the
-    /// legacy per-cycle tick first, which discards both.
-    pub fn prepare_event_engine(&mut self) {
-        self.exec_queue.clear();
-        self.wakeups.clear();
-        for e in self.rob.iter() {
-            // The worklist holds entries that can act without another
-            // broadcast: executing ALUs (their finish is self-driven) and
-            // operand-ready unstarted ALUs / unresolved branches. Entries
-            // still waiting on an in-flight producer are enqueued by that
-            // producer's eventual broadcast (`publish_value`).
-            match &e.instr {
-                Instr::Alu { .. }
-                    if e.value.is_none() && (e.finishes_at.is_some() || e.srcs_ready()) =>
-                {
-                    self.exec_queue.push_back(e.seq);
-                }
-                Instr::Branch { .. } if !e.resolved && e.srcs_ready() => {
-                    self.exec_queue.push_back(e.seq);
-                }
-                _ => {}
-            }
-            if let Some(f) = e.finishes_at {
-                if e.value.is_none() {
-                    self.wakeups.push(f);
-                }
-            }
-        }
-        for (at, _) in &self.hit_completions {
-            self.wakeups.push(*at);
-        }
-        if !self.fetch_done && self.fetch_stalled_until > 0 {
-            self.wakeups.push(self.fetch_stalled_until);
-        }
-        self.progress = true;
+    /// Test hook (execute-queue regression): the next operand-ready
+    /// ALU/branch this core fetches is left out of the pending-execute
+    /// queue, exactly as a buggy enqueue would. The `ExecQueueComplete`
+    /// invariant must catch it.
+    #[doc(hidden)]
+    pub fn drop_next_enqueue_for_test(&mut self) {
+        self.drop_next_enqueue = true;
     }
 
     /// Checks the core's buffer-ordering invariants — the reorder buffer,
     /// store buffer, and speculative-load buffer must each hold entries in
     /// strictly increasing program (sequence) order (retirement and the
-    /// associative hazard match both assume it) — and the cycle-accounting
-    /// identity: breakdown components sum to exactly the cycles this core
-    /// has been accounted for (`halted_at` once halted, `now` while live).
+    /// associative hazard match both assume it) — the cycle-accounting
+    /// identity (breakdown components sum to exactly the cycles this core
+    /// has been accounted for: `halted_at` once halted, `now` while live),
+    /// and the completeness of the pending-execute queue.
     pub fn check_invariants(&self, now: u64) -> Result<(), SimError> {
         let accounted = if self.halted {
             self.stats.halted_at
@@ -471,6 +443,47 @@ impl Processor {
             }
             prev = Some(e.seq);
         }
+        self.check_exec_queue(now)
+    }
+
+    /// `ExecQueueComplete`: the execute stage visits only `exec_queue`,
+    /// so it must be in program order and hold every entry a full
+    /// reorder-buffer scan would act on — each executing or
+    /// operand-ready ALU without a value, and each operand-ready
+    /// unresolved branch. A missing entry would never execute.
+    fn check_exec_queue(&self, now: u64) -> Result<(), SimError> {
+        let violation = |detail: String| {
+            Err(SimError::invariant(
+                now,
+                Some(self.id),
+                None,
+                InvariantKind::ExecQueueComplete,
+                detail,
+            ))
+        };
+        if let Some(w) = self
+            .exec_queue
+            .iter()
+            .zip(self.exec_queue.iter().skip(1))
+            .find(|(a, b)| a >= b)
+        {
+            return violation(format!("execute-queue seq {} follows seq {}", w.1, w.0));
+        }
+        for e in self.rob.iter() {
+            let actionable = match e.instr {
+                Instr::Alu { .. } => {
+                    e.value.is_none() && (e.finishes_at.is_some() || e.srcs_ready())
+                }
+                Instr::Branch { .. } => !e.resolved && e.srcs_ready(),
+                _ => false,
+            };
+            if actionable && self.exec_queue.binary_search(&e.seq).is_err() {
+                return violation(format!(
+                    "{} at seq {} (pc {}) is ready to execute but missing from the execute queue",
+                    e.instr, e.seq, e.pc
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -511,46 +524,17 @@ impl Processor {
     }
 
     /// Runs one cycle. The memory system must already have ticked to
-    /// `now`.
+    /// `now`. Whichever engine drives the machine, this is the only tick;
+    /// the caller drains [`Self::drain_wakeups`] after it.
     pub fn tick(&mut self, now: u64, mem: &mut MemorySystem) {
         if self.halted {
             return;
         }
-        // The per-cycle engine never consumes event-engine bookkeeping;
-        // clearing it here keeps both bounded when this tick drives the
-        // whole run (legacy engine, unit tests stepping manually).
-        self.exec_queue.clear();
-        self.wakeups.clear();
         self.port_used = false;
         self.port_used_by_prefetch = false;
         self.stage_drain(now, mem);
         self.stage_spec_retire(now);
         self.stage_execute(now);
-        let retired = self.stage_commit(now);
-        self.stage_fetch(now);
-        self.stage_dispatch(now, mem);
-        self.stage_store_issue(now, mem);
-        self.stage_load_issue(now, mem);
-        self.stage_prefetch(now, mem);
-        self.finish_tick(now, retired);
-    }
-
-    /// Runs one cycle under the discrete-event engine: identical stage
-    /// order and semantics to [`Self::tick`], except the execute stage is
-    /// driven by the pending-work queue (executing ALUs plus startable
-    /// ALU/branch entries) instead of scanning the whole reorder buffer,
-    /// and the event-engine bookkeeping (`exec_queue`, `wakeups`) is
-    /// consumed rather than cleared. Byte-identical state evolution is
-    /// pinned by the engine-differential tests in `tests/fast_forward.rs`.
-    pub fn tick_event(&mut self, now: u64, mem: &mut MemorySystem) {
-        if self.halted {
-            return;
-        }
-        self.port_used = false;
-        self.port_used_by_prefetch = false;
-        self.stage_drain(now, mem);
-        self.stage_spec_retire(now);
-        self.stage_execute_event(now);
         let retired = self.stage_commit(now);
         self.stage_fetch(now);
         self.stage_dispatch(now, mem);
@@ -865,9 +849,9 @@ impl Processor {
     /// funnels every consumer that just became startable into the
     /// pending-execute worklist. Sorted insertion keeps the worklist in
     /// program order; a woken consumer is always younger than `seq`, so
-    /// when this is called from inside the execute stage's scan it can
-    /// only insert *ahead of* the cursor — the same-cycle cascade order
-    /// matches the legacy full-buffer scan exactly.
+    /// when this is called from inside the execute stage's walk it can
+    /// only insert *ahead of* the cursor, and a same-cycle cascade
+    /// starts consumers oldest first.
     fn publish_value(&mut self, seq: Seq, value: u64) {
         self.rob.set_value(seq, value);
         while let Some(s) = self.rob.pop_woken() {
@@ -984,91 +968,18 @@ impl Processor {
     // Stage 3: execute (ALU completion, in-order branch resolution).
     // ------------------------------------------------------------------
 
+    /// Walks the pending-work queue instead of the whole reorder buffer:
+    /// `exec_queue` holds the executing ALUs and the operand-ready
+    /// unstarted ALUs / unresolved branches, in program order. A full
+    /// scan's visits to the other entries would be no-ops (finished
+    /// entries are skipped, operand-waiting entries fail `srcs_ready`),
+    /// and an entry can only *become* startable through a result
+    /// broadcast — which enqueues it on the spot ([`Self::publish_value`]),
+    /// including the mid-walk cascade where a zero-latency finish readies
+    /// a younger consumer in the same cycle (woken consumers are younger,
+    /// so they insert ahead of the cursor). The `ExecQueueComplete`
+    /// invariant checks that the queue is never missing such an entry.
     fn stage_execute(&mut self, now: u64) {
-        let seqs: Vec<Seq> = self.rob.iter().map(|e| e.seq).collect();
-        for seq in seqs {
-            let Some(e) = self.rob.entry(seq) else {
-                continue; // squashed by an older branch this cycle
-            };
-            match &e.instr {
-                Instr::Alu { op, latency, .. } => {
-                    let op = *op;
-                    let latency = u64::from(*latency);
-                    if e.value.is_some() {
-                        continue;
-                    }
-                    if e.finishes_at.is_none() && e.srcs_ready() {
-                        let v1 = e.src1_value();
-                        let v2 = e.src2_value();
-                        let e = self.rob.entry_mut(seq).expect("present");
-                        e.finishes_at = Some(now + latency);
-                        // Stash the computed result via value at finish.
-                        let result = op.apply(v1, v2);
-                        e.value = None;
-                        e.src1 = Some(crate::rob::Src::Ready(result)); // result parked in src1
-                        self.progress = true;
-                        if latency > 0 {
-                            self.wakeups.push(now + latency);
-                        }
-                    }
-                    let e = self.rob.entry(seq).expect("present");
-                    if e.finishes_at.is_some_and(|f| f <= now) && e.value.is_none() {
-                        let result = e.src1_value();
-                        self.publish_value(seq, result);
-                        if let Some(e) = self.rob.entry_mut(seq) {
-                            e.completed = true;
-                        }
-                        self.progress = true;
-                    }
-                }
-                Instr::Branch {
-                    cond,
-                    target,
-                    hint: _,
-                    ..
-                } => {
-                    if e.resolved || !e.srcs_ready() {
-                        continue;
-                    }
-                    let cond = *cond;
-                    let target = *target;
-                    let pc = e.pc;
-                    let predicted = e.predicted_taken.expect("branches are predicted at fetch");
-                    let actual = cond.apply(e.src1_value(), e.src2_value());
-                    self.stats.branches += 1;
-                    self.progress = true;
-                    self.pred.resolve(pc, predicted, actual, target);
-                    {
-                        let e = self.rob.entry_mut(seq).expect("present");
-                        e.resolved = true;
-                        e.completed = true;
-                    }
-                    if actual != predicted {
-                        self.stats.branch_mispredicts += 1;
-                        let new_pc = if actual { target } else { pc + 1 };
-                        self.emit(now, seq, TraceKind::BranchMispredicted);
-                        self.squash(now, seq + 1, new_pc, false);
-                        break; // everything younger is gone
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// The execute stage driven by the pending-work queue instead of a
-    /// full reorder-buffer scan: `exec_queue` holds the executing ALUs
-    /// and the operand-ready unstarted ALUs / unresolved branches, in
-    /// program order. Semantically identical to [`Self::stage_execute`]:
-    /// the legacy scan's visits to entries absent from the queue are
-    /// no-ops (finished entries are skipped, operand-waiting entries
-    /// fail `srcs_ready`), and an entry can only *become* startable
-    /// through a result broadcast — which enqueues it on the spot
-    /// ([`Self::publish_value`]), including the mid-scan cascade where a
-    /// zero-latency finish readies a younger consumer in the same cycle
-    /// (woken consumers are younger, so they insert ahead of the
-    /// cursor, exactly where the legacy scan would reach them).
-    fn stage_execute_event(&mut self, now: u64) {
         let mut i = 0;
         while i < self.exec_queue.len() {
             let seq = self.exec_queue[i];
@@ -1287,12 +1198,7 @@ impl Processor {
                         .expect("just pushed")
                         .predicted_taken = Some(taken);
                     self.pc = if taken { *target } else { pc + 1 };
-                    // Operands already resolved at rename: startable now.
-                    // Otherwise the set_value broadcast that resolves the
-                    // last operand will enqueue it (publish_value).
-                    if self.rob.entry(seq).expect("just pushed").srcs_ready() {
-                        self.exec_queue.push_back(seq);
-                    }
+                    self.enqueue_fetched(seq);
                 }
                 Instr::Jump { target } => {
                     self.pc = *target;
@@ -1303,14 +1209,23 @@ impl Processor {
                 }
                 Instr::Alu { .. } => {
                     self.pc += 1;
-                    if self.rob.entry(seq).expect("just pushed").srcs_ready() {
-                        self.exec_queue.push_back(seq);
-                    }
+                    self.enqueue_fetched(seq);
                 }
                 Instr::Nop => {
                     self.pc += 1;
                 }
             }
+        }
+    }
+
+    /// Queues a just-fetched ALU/branch whose operands resolved at
+    /// rename: it is startable now. Otherwise the `set_value` broadcast
+    /// that resolves its last operand enqueues it ([`Self::publish_value`]).
+    fn enqueue_fetched(&mut self, seq: Seq) {
+        if self.rob.entry(seq).expect("just pushed").srcs_ready()
+            && !std::mem::take(&mut self.drop_next_enqueue)
+        {
+            self.exec_queue.push_back(seq);
         }
     }
 
@@ -1897,6 +1812,27 @@ mod tests {
     use mcsim_isa::ProgramBuilder;
     use mcsim_mem::MemConfig;
 
+    /// Steps one core against its memory system until it halts, checking
+    /// the core's invariants after every cycle (the machine's
+    /// every-cycle cadence: after the tick at `cycle`, `cycle + 1`
+    /// cycles have been accounted) and discarding published wake-ups
+    /// as the per-cycle engine does. Returns the halting cycle.
+    fn run_to_halt(p: &mut Processor, mem: &mut MemorySystem, limit: u64) -> u64 {
+        for cycle in 0..limit {
+            mem.tick(cycle);
+            p.tick(cycle, mem);
+            mem.drain_wakeups(|_| {});
+            p.drain_wakeups(|_| {});
+            if let Err(e) = p.check_invariants(cycle + 1) {
+                panic!("{e}");
+            }
+            if p.halted() {
+                return p.stats().halted_at;
+            }
+        }
+        panic!("processor did not halt");
+    }
+
     fn run(
         model: Model,
         techniques: Techniques,
@@ -1906,14 +1842,8 @@ mod tests {
         let mut mem = MemorySystem::new(MemConfig::paper(), 1);
         setup(&mut mem);
         let mut p = Processor::new(0, ProcConfig::paper(techniques), model, program);
-        for cycle in 0..100_000 {
-            mem.tick(cycle);
-            p.tick(cycle, &mut mem);
-            if p.halted() {
-                return (p.stats().halted_at, p, mem);
-            }
-        }
-        panic!("processor did not halt");
+        let halted_at = run_to_halt(&mut p, &mut mem, 100_000);
+        (halted_at, p, mem)
     }
 
     const L: u64 = 0x40; // lock
@@ -2103,14 +2033,7 @@ mod tests {
             mem.write_initial(Addr(A), 10);
             let cfg = ProcConfig::with_window(Techniques::BOTH, rob, width);
             let mut p = Processor::new(0, cfg, Model::Sc, prog.clone());
-            for cycle in 0..50_000 {
-                mem.tick(cycle);
-                p.tick(cycle, &mut mem);
-                if p.halted() {
-                    break;
-                }
-            }
-            assert!(p.halted(), "rob={rob} width={width}");
+            run_to_halt(&mut p, &mut mem, 50_000);
             assert_eq!(mem.read_coherent(Addr(B)), 15, "rob={rob} width={width}");
         }
     }
@@ -2127,14 +2050,7 @@ mod tests {
             let mut cfg = ProcConfig::paper(Techniques::NONE);
             cfg.commit_width = w;
             let mut p = Processor::new(0, cfg, Model::Sc, prog.clone());
-            for cycle in 0..10_000 {
-                mem.tick(cycle);
-                p.tick(cycle, &mut mem);
-                if p.halted() {
-                    return p.stats().halted_at;
-                }
-            }
-            panic!("did not halt");
+            run_to_halt(&mut p, &mut mem, 10_000)
         };
         let narrow = run_with_commit(Some(1));
         let wide = run_with_commit(None);

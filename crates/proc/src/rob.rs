@@ -115,8 +115,8 @@ pub struct Rob {
     /// ALU/branch entries whose last waiting operand was resolved by a
     /// [`Self::set_value`] broadcast — the consumers that just became
     /// startable. Drained by the core into its pending-execute worklist
-    /// ([`Self::pop_woken`]); the legacy per-cycle engine drains it too
-    /// (at every publish site), so it never accumulates.
+    /// ([`Self::pop_woken`]) at every publish site, so it never
+    /// accumulates.
     woken: Vec<Seq>,
 }
 

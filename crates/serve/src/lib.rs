@@ -64,8 +64,7 @@ OPTIONS:
     --max-pending N    admission bound; exceeding it answers 429
                        [default: 8]
     --legacy-step      drive points with the per-cycle loop instead of
-                       the discrete-event engine (slower, bit-identical;
-                       --no-fast-forward is an accepted alias)
+                       the discrete-event engine (slower, bit-identical)
     --addr-file FILE   write the actual bound address to FILE (for
                        scripts binding port 0)
     --quiet            suppress startup/drain log lines
@@ -117,7 +116,7 @@ pub fn run_cli(args: &[String]) -> Result<(), String> {
             "--max-pending" => {
                 cfg.max_pending = parse_count("--max-pending", &value("--max-pending")?)?.max(1);
             }
-            "--legacy-step" | "--no-fast-forward" => cfg.exec.fast_forward = false,
+            "--legacy-step" => cfg.exec.fast_forward = false,
             "--addr-file" => cfg.addr_file = Some(value("--addr-file")?.into()),
             "--quiet" => cfg.quiet = true,
             other => return Err(format!("unknown serve flag `{other}`")),

@@ -56,8 +56,7 @@ const USAGE: &str = "usage: mcsim-sweep [options]
                      point (drop-inv[:N] | corrupt[:N] | stuck-mshr[:N])
   --legacy-step      run the per-cycle reference loop instead of the
                      discrete-event engine (much slower; results are
-                     bit-identical either way; --no-fast-forward is an
-                     accepted alias)
+                     bit-identical either way)
   --trace DIR        run with event tracing and leave a Chrome trace-event
                      JSON post-mortem (point-NNNN.trace.json) in DIR for
                      every point that fails or times out
@@ -160,7 +159,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| format!("--deadline expects seconds, got '{n}'"))?;
             }
             "--inject" => args.inject = Some(value("--inject")?.parse()?),
-            "--legacy-step" | "--no-fast-forward" => args.legacy_step = true,
+            "--legacy-step" => args.legacy_step = true,
             "--trace" => args.trace_dir = Some(value("--trace")?),
             "--quiet" => args.quiet = true,
             "--point" => args.point = Some(value("--point")?),

@@ -86,8 +86,7 @@ OPTIONS (run):
     --legacy-step                 drive the run with the per-cycle loop
                                   instead of the discrete-event engine
                                   (slower; the report is bit-identical
-                                  either way). --no-fast-forward is an
-                                  accepted alias.
+                                  either way)
     --trace <path>                write the event trace to <path> ('-' for
                                   stdout); enables tracing
     --trace-format <fmt>          trace export format: chrome (Perfetto-
@@ -338,8 +337,8 @@ struct RunOpts {
     timeline: bool,
     breakdown: bool,
     json: bool,
-    /// Drive the run with the per-cycle loop (`--legacy-step`, alias
-    /// `--no-fast-forward`) instead of the discrete-event engine.
+    /// Drive the run with the per-cycle loop (`--legacy-step`) instead
+    /// of the discrete-event engine.
     legacy_step: bool,
     dump_on_failure: Option<String>,
 }
@@ -460,7 +459,7 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
             }
             "--breakdown" => o.breakdown = true,
             "--json" => o.json = true,
-            "--legacy-step" | "--no-fast-forward" => o.legacy_step = true,
+            "--legacy-step" => o.legacy_step = true,
             flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
             file => o.files.push(file.to_string()),
         }

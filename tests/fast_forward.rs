@@ -4,10 +4,14 @@
 //! every latency source schedules its wake-up cycle into an event queue,
 //! and the loop jumps from stepped cycle to stepped cycle, replaying all
 //! per-cycle accounting — stall breakdowns, latency histograms,
-//! invariant cadence, watchdog edges — across each jump. The per-cycle
-//! reference loop survives behind `--legacy-step` as the differential
-//! oracle, and a [`RunReport`] must be **bit-identical** under either
-//! engine. These tests pin that equivalence:
+//! invariant cadence, watchdog edges — across each jump. `--legacy-step`
+//! takes the same step at every cycle and never jumps, so it is the
+//! differential oracle for the jump and its replay: a [`RunReport`] must
+//! be **bit-identical** under either engine. A defect in the shared step
+//! yields the same report under both, so equality alone cannot see it;
+//! `run_both` therefore also requires that neither report carries an
+//! invariant violation, and `ExecQueueComplete` stands in for the deleted
+//! reorder-buffer scan. These tests pin that equivalence:
 //!
 //! 1. serialized-report equality (plus an explicit [`CycleBreakdown`]
 //!    comparison) across random workloads × the full extended model ×
@@ -23,11 +27,13 @@
 //!    reported cycle count, and a miss-dominated workload actually
 //!    jumps;
 //! 5. a stale wake-up (an already-elapsed cycle published by a buggy
-//!    component) is clamped, never spun on, and never changes a report.
+//!    component) is clamped, never spun on, and never changes a report;
+//! 6. an execute-queue entry dropped at fetch is reported as an
+//!    `ExecQueueComplete` violation at the exact cycle.
 
 use mcsim::prelude::*;
 use mcsim::sim::MachineConfig as Cfg;
-use mcsim::sim::{Engine, FaultKind, RunTelemetry, StallClass};
+use mcsim::sim::{Engine, FaultKind, InvariantKind, RunTelemetry, SimError, StallClass};
 use mcsim::workloads::generators::{self, RandomParams};
 use mcsim::workloads::paper;
 use mcsim_consistency::Model;
@@ -35,8 +41,10 @@ use proptest::prelude::*;
 
 /// Runs the same configuration under the event engine and the
 /// `--legacy-step` per-cycle oracle and returns the event-engine
-/// (report, telemetry) pair, after asserting the reports serialize
-/// byte-identically and the telemetry covers the same span of time.
+/// (report, telemetry) pair, after asserting that neither report carries
+/// an invariant violation, that the reports serialize byte-identically,
+/// and that the telemetry covers the same span of time. Callers expect
+/// only clean runs, timeouts, or the watchdog's `NoProgress`.
 ///
 /// Tracing is forced on, so the byte comparison also proves the event
 /// traces are identical across engines — a component that records an
@@ -48,6 +56,13 @@ fn run_both(mut cfg: Cfg, programs: Vec<Program>) -> (RunReport, RunTelemetry) {
     let mut slow_machine = Machine::new(cfg, programs);
     slow_machine.set_engine(Engine::LegacyStep);
     let (slow, slow_t) = slow_machine.run_telemetry();
+    for (engine, report) in [("event", &fast), ("legacy-step", &slow)] {
+        let violated = report
+            .failure
+            .as_ref()
+            .and_then(SimError::violated_invariant);
+        assert_eq!(violated, None, "{engine} engine: {:?}", report.failure);
+    }
     let fast_json = serde_json::to_string(&fast).expect("serializes");
     let slow_json = serde_json::to_string(&slow).expect("serializes");
     assert_eq!(fast_json, slow_json, "reports must be bit-identical");
@@ -274,5 +289,39 @@ fn stale_wakeups_are_clamped_not_spun_on() {
             clean_t.stepped_cycles + clean_t.skipped_cycles,
             "stale wake-up at {stale_at} changed the simulated span"
         );
+    }
+}
+
+#[test]
+fn dropped_exec_queue_entry_is_an_invariant_violation() {
+    // The execute stage visits only the pending-execute queue, so an
+    // operand-ready ALU left out of it would never run — under both
+    // engines alike, where report equality cannot see it. The first
+    // instruction is fetched at cycle 0 with immediate operands; once its
+    // enqueue is dropped, the every-cycle check after that step (at cycle
+    // 1) must name the missing entry.
+    let mut cfg = Cfg::paper_with(Model::Sc, Techniques::NONE);
+    cfg.guard.invariant_period = 1;
+    let prog = ProgramBuilder::new("alu")
+        .alu(mcsim_isa::reg::R1, mcsim_isa::AluOp::Add, 2u64, 3u64)
+        .halt()
+        .build()
+        .unwrap();
+    for engine in [Engine::Event, Engine::LegacyStep] {
+        let mut m = Machine::new(cfg, vec![prog.clone()]);
+        m.set_engine(engine);
+        m.drop_next_enqueue_for_test(0);
+        let report = m.run();
+        let failure = report
+            .failure
+            .as_ref()
+            .expect("dropped entry must be caught");
+        assert_eq!(
+            failure.violated_invariant(),
+            Some(InvariantKind::ExecQueueComplete),
+            "{engine:?}: {failure}"
+        );
+        assert_eq!(failure.cycle, 1, "{engine:?}: {failure}");
+        assert_eq!(report.cycles, 1);
     }
 }
