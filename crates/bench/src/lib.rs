@@ -1,87 +1,8 @@
-//! # mcsim-bench — the experiment harness
+//! # mcsim-bench — simulator throughput benches
 //!
-//! One binary per paper artifact (see DESIGN.md's experiment index):
-//!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `fig1_ordering_rules` | Figure 1 — delay-arc tables per model |
-//! | `fig2_example1` | Figure 2 + §3.3 producer cycle counts |
-//! | `fig2_example2` | Figure 2 + §3.3/§4.1 consumer cycle counts |
-//! | `fig34_organization` | Figures 3–4 — machine organization dump |
-//! | `fig5_trace` | Figure 5 — the event walk-through |
-//! | `breakdown` | §5 — per-cause execution-time breakdowns (CPI stacks) |
-//! | `equalization` | §5 — model equalization on synthetic workloads |
-//! | `speculation_violations` | §5 — rollback rates under contention |
-//! | `prefetch_limits` | §3.3 — where prefetch fails and speculation wins |
-//! | `update_vs_invalidate` | §3.1 — write prefetch needs invalidations |
-//! | `adve_hill` | §6 — comparison against Adve–Hill early grants |
-//! | `rmw_appendix` | Appendix A — split RMWs under lock contention |
-//! | `latency_sweep` | sensitivity: miss latency 20–400 |
-//! | `window_sweep` | §3.2 — lookahead (ROB size) sensitivity |
-//!
-//! Criterion benches (`benches/`) measure the *simulator's* throughput so
-//! regressions in the implementation itself are visible.
-
-use mcsim_core::{MachineConfig, MatrixRow};
-
-/// Renders rows as a markdown table (used by the figure binaries so the
-/// output can be pasted into EXPERIMENTS.md verbatim). Thin wrapper over
-/// the generalized renderer in `mcsim-sweep`, kept for the binaries that
-/// still drive `run_matrix` directly.
-#[must_use]
-pub fn markdown_table(rows: &[MatrixRow]) -> String {
-    mcsim_sweep::markdown_table(rows)
-}
-
-/// Worker-thread count from a `--jobs N` command-line argument
-/// (defaults to 1; experiment output is identical at any value).
-#[must_use]
-pub fn jobs_from_args() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-            eprintln!("--jobs expects a number; using 1");
-        }
-    }
-    1
-}
-
-/// The standard paper-calibrated base configuration used by the figure
-/// binaries.
-#[must_use]
-pub fn base_config() -> MachineConfig {
-    MachineConfig::paper()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mcsim_consistency::Model;
-    use mcsim_core::run_matrix;
-    use mcsim_isa::ProgramBuilder;
-    use mcsim_proc::Techniques;
-
-    #[test]
-    fn markdown_table_shape() {
-        let rows = run_matrix(
-            &base_config(),
-            &[Model::Sc],
-            &[Techniques::NONE, Techniques::BOTH],
-            || {
-                vec![ProgramBuilder::new("w")
-                    .store(0x1000u64, 1u64)
-                    .halt()
-                    .build()
-                    .unwrap()]
-            },
-            |_| {},
-        )
-        .expect("no cell fails");
-        let t = markdown_table(&rows);
-        assert!(t.starts_with("| model |"));
-        assert!(t.contains("| SC |"));
-    }
-}
+//! The benches in `benches/` measure the *simulator's* speed, so
+//! regressions in the implementation itself are visible;
+//! `step_throughput` gates the discrete-event engine against
+//! `BENCH_step_throughput.json`. The paper's numbers live in
+//! EXPERIMENTS.md, whose tables `tests/experiments.rs` renders from the
+//! simulator and checks.

@@ -1,8 +1,8 @@
 //! Rendering of the Figure 1 ordering restrictions as text tables.
 //!
-//! `fig1_ordering_rules` (in `mcsim-bench`) prints these tables; the unit
-//! tests here pin the SC and RC tables so an accidental change to the
-//! delay relation is caught in review.
+//! EXPERIMENTS.md's E1 block shows these tables (checked by
+//! `tests/experiments.rs`); the unit tests here pin the SC and RC tables
+//! so an accidental change to the delay relation is caught in review.
 
 use crate::access::AccessClass;
 use crate::model::Model;

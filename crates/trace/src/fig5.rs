@@ -7,9 +7,9 @@
 //! addresses; the events column lists everything else that cycle
 //! (issues, performs, rollbacks, coherence traffic for this core).
 //!
-//! This renderer is shared between the CLI (`--trace-format fig5`), the
-//! `fig5_trace` demo binary and the golden-file test, so the checked-in
-//! artifact under `tests/golden/` is exactly what users see.
+//! This renderer is shared between the CLI (`--trace-format fig5`) and
+//! the golden-file test, so the checked-in artifact under
+//! `tests/golden/` is exactly what users see.
 
 use crate::{BufferKind, TraceEvent, TraceFilter, TraceKind};
 use std::fmt::Write;

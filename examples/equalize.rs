@@ -1,6 +1,6 @@
 //! The equalization experiment as a runnable demo: sweep the model ×
 //! technique matrix over a critical-section workload and watch the gap
-//! between SC and RC collapse (§5: "the performance of different
+//! between SC and RC narrow (§5: "the performance of different
 //! consistency models is equalized once these techniques are employed").
 //!
 //! ```sh
@@ -58,7 +58,7 @@ fn main() {
         }
         println!();
     }
-    println!("in the latency-dominated case the `pf+spec` column equalizes the");
-    println!("models — the paper's claim. Under heavy sharing the techniques still");
-    println!("speed every model up, but invalidation traffic keeps a residual gap.");
+    println!("compare each setting's `pf+spec` spread with its `base` spread: the");
+    println!("techniques narrow the gap between models (§5's claim) without closing");
+    println!("it. EXPERIMENTS.md E6 pins the larger e6-equalization grid.");
 }

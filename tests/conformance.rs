@@ -18,6 +18,8 @@
 //! The corpus allowed sets are additionally pinned as a golden file
 //! (regenerate with `BLESS=1 cargo test --test conformance`).
 
+mod common;
+
 use mcsim::sim::{conformance_config, Outcome, RunReport};
 use mcsim::workloads::generators::{self, RandomParams};
 use mcsim::workloads::litmus::{self, Litmus};
@@ -25,7 +27,6 @@ use mcsim_consistency::{AccessClass, Model};
 use mcsim_isa::MemFlavor;
 use mcsim_proc::Techniques;
 use std::collections::BTreeMap;
-use std::path::Path;
 
 const SEEDS: u64 = 32;
 
@@ -225,22 +226,5 @@ fn racy_programs_do_relax_somewhere() {
 #[test]
 fn corpus_allowed_sets_match_golden() {
     let rendered = litmus::render_allowed_sets(&litmus::conformance_corpus());
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/oracle_allowed.txt");
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, rendered).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {}: {e} (run with BLESS=1 once)",
-            path.display()
-        )
-    });
-    assert!(
-        rendered == golden,
-        "allowed sets diverge from the golden file; if intentional, \
-         regenerate with BLESS=1 cargo test --test conformance.\n\
-         --- rendered ---\n{rendered}"
-    );
+    common::assert_golden("oracle_allowed.txt", &rendered);
 }

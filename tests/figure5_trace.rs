@@ -16,13 +16,15 @@
 //! BLESS=1 cargo test --test figure5_trace
 //! ```
 
+mod common;
+
+use common::assert_golden;
 use mcsim::prelude::*;
 use mcsim::sim::MachineConfig as Cfg;
 use mcsim::trace::{csv, fig5, IssueOutcome, TraceFilter, TraceKind};
 use mcsim::workloads::paper;
 use mcsim_consistency::Model;
 use mcsim_isa::reg::{R1, R3, R4};
-use std::path::Path;
 
 const NEW_D: u64 = 5;
 
@@ -42,30 +44,6 @@ fn run_figure5(delay: u32) -> mcsim::sim::RunReport {
     report
 }
 
-/// Compares `rendered` against the checked-in golden file, or rewrites
-/// the golden when the `BLESS` environment variable is set.
-fn assert_golden(rendered: &str, name: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, rendered).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {}: {e} (run with BLESS=1 once)",
-            path.display()
-        )
-    });
-    assert!(
-        rendered == golden,
-        "{name} diverges from the golden file; if the change is intentional, \
-         regenerate with BLESS=1 cargo test --test figure5_trace.\n--- rendered ---\n{rendered}",
-    );
-}
-
 #[test]
 fn figure5_timeline_matches_golden() {
     let report = run_figure5(50);
@@ -75,7 +53,7 @@ fn figure5_timeline_matches_golden() {
         proc: Some(0),
         ..TraceFilter::default()
     };
-    assert_golden(&fig5::render(&report.trace, &filter), "figure5.txt");
+    assert_golden("figure5.txt", &fig5::render(&report.trace, &filter));
 }
 
 /// Both Figure 2 segments, traced across every model × technique cell,
@@ -106,7 +84,7 @@ fn figure2_traces_match_golden() {
                 out.push_str(&csv::render(&report.trace, &TraceFilter::default()));
             }
         }
-        assert_golden(&out, golden);
+        assert_golden(golden, &out);
     }
 }
 

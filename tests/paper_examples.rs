@@ -13,32 +13,16 @@
 //! (The §4.1 speculative numbers combine speculative loads with prefetch
 //! for stores, as §4.3 prescribes.)
 
+mod common;
+
+use common::{report_example1, report_example2};
 use mcsim::prelude::*;
 use mcsim::sim::MachineConfig as Cfg;
 use mcsim::workloads::paper;
 use mcsim_consistency::Model;
 
-fn report_example1(model: Model, t: Techniques) -> RunReport {
-    let cfg = Cfg::paper_with(model, t);
-    let m = Machine::new(cfg, vec![paper::example1()]);
-    let report = m.run();
-    assert!(!report.timed_out);
-    report
-}
-
 fn run_example1(model: Model, t: Techniques) -> u64 {
     report_example1(model, t).cycles
-}
-
-fn report_example2(model: Model, t: Techniques) -> RunReport {
-    let cfg = Cfg::paper_with(model, t);
-    let mut m = Machine::new(cfg, vec![paper::example2()]);
-    paper::setup_example2(&mut m);
-    let report = m.run();
-    assert!(!report.timed_out);
-    // The dependent load must observe the right element of E.
-    assert_eq!(report.reg(0, mcsim_isa::reg::R4), 0xE1, "{model}/{t}");
-    report
 }
 
 fn run_example2(model: Model, t: Techniques) -> u64 {

@@ -2,6 +2,9 @@
 //! predicts, asserted as inequalities and exact values where the timing
 //! model makes them deterministic.
 
+mod common;
+
+use common::{cycles_of, run_ah};
 use mcsim::prelude::*;
 use mcsim::sim::MachineConfig as Cfg;
 use mcsim::workloads::generators;
@@ -9,14 +12,6 @@ use mcsim::workloads::paper;
 use mcsim_consistency::Model;
 use mcsim_isa::reg::R2;
 use mcsim_mem::Protocol;
-
-fn cycles_of(cfg: Cfg, programs: Vec<mcsim_isa::Program>, setup: impl FnOnce(&mut Machine)) -> u64 {
-    let mut m = Machine::new(cfg, programs);
-    setup(&mut m);
-    let r = m.run();
-    assert!(!r.timed_out);
-    r.cycles
-}
 
 #[test]
 fn update_protocol_nullifies_write_prefetching() {
@@ -47,21 +42,6 @@ fn adve_hill_only_helps_writes_with_sharers() {
     // (301). With a sharer on A and B: conventional pays two invalidation
     // round trips (497); early grants collapse them (301); the paper's
     // techniques do better still (201).
-    let run_ah = |early: bool, t: Techniques, shared: bool| {
-        let mut cfg = Cfg::paper_with(Model::Sc, t);
-        cfg.mem.early_grant_writes = early;
-        let programs = if shared {
-            vec![paper::example1(), mcsim_isa::Program::idle()]
-        } else {
-            vec![paper::example1()]
-        };
-        cycles_of(cfg, programs, |m| {
-            if shared {
-                m.preload_cache(1, paper::A, false);
-                m.preload_cache(1, paper::B, false);
-            }
-        })
-    };
     assert_eq!(run_ah(false, Techniques::NONE, false), 301);
     assert_eq!(run_ah(true, Techniques::NONE, false), 301);
     assert_eq!(run_ah(false, Techniques::NONE, true), 497);
