@@ -1,9 +1,8 @@
 //! Machine-loop throughput: the discrete-event engine against the
 //! per-cycle `--legacy-step` loop.
 //!
-//! A standalone (`harness = false`) bench binary: the vendored criterion
-//! stand-in has no JSON output or baseline support, so this measures by
-//! hand — median wall time over a fixed sample count for three workload
+//! A standalone (`harness = false`) bench binary that measures by hand —
+//! median wall time over a fixed sample count for three workload
 //! classes, each run under both engines — and speaks the formats CI
 //! needs:
 //!

@@ -1,8 +1,8 @@
-//! # mcsim-bench — simulator throughput benches
+//! # mcsim-bench — the machine-loop throughput gate
 //!
-//! The benches in `benches/` measure the *simulator's* speed, so
-//! regressions in the implementation itself are visible;
-//! `step_throughput` gates the discrete-event engine against
-//! `BENCH_step_throughput.json`. The paper's numbers live in
+//! `benches/step_throughput.rs` measures the *simulator's* speed and
+//! gates the discrete-event engine against `BENCH_step_throughput.json`.
+//! End-to-end rates (sweeps, the HTTP service) are measured by the
+//! standalone `benchmark/` crate. The paper's numbers live in
 //! EXPERIMENTS.md, whose tables `tests/experiments.rs` renders from the
 //! simulator and checks.

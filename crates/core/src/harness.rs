@@ -82,10 +82,11 @@ impl std::error::Error for CellFailure {}
 ///
 /// `workload` is called once per combination so each run gets fresh
 /// programs; `setup` primes memory/caches on the built machine. Stops at
-/// the first cell whose run times out and reports it as an error, so
-/// callers (the sweep engine, CLIs) can record a failed cell instead of
-/// aborting the whole experiment.
-pub fn try_run_matrix(
+/// the first cell whose run times out or fails and reports it as a
+/// [`CellFailure`] (carrying the guard's [`SimError`] when one produced
+/// it), so callers (the sweep engine, CLIs) can record a failed cell
+/// instead of aborting the whole experiment.
+pub fn run_matrix(
     base: &MachineConfig,
     models: &[Model],
     techniques: &[Techniques],
@@ -97,7 +98,6 @@ pub fn try_run_matrix(
         for &t in techniques {
             let mut cfg = *base;
             cfg.model = model;
-            cfg.techniques = t;
             cfg.proc.techniques = t;
             let mut m = Machine::new(cfg, workload());
             setup(&mut m);
@@ -121,28 +121,66 @@ pub fn try_run_matrix(
     Ok(rows)
 }
 
-/// Alias of [`try_run_matrix`]: every caller gets the same structured
-/// failure path (a [`CellFailure`] carrying the guard's [`SimError`]
-/// when one produced it) instead of an unwind.
-pub fn run_matrix(
-    base: &MachineConfig,
-    models: &[Model],
-    techniques: &[Techniques],
-    workload: impl FnMut() -> Vec<Program>,
-    setup: impl FnMut(&mut Machine),
-) -> Result<Vec<MatrixRow>, CellFailure> {
-    try_run_matrix(base, models, techniques, workload, setup)
+/// A result row a model × technique table can be built from: a
+/// [`MatrixRow`] here, a sweep's point record in `mcsim-sweep`.
+pub trait TableCell {
+    /// Consistency model of the cell.
+    fn model(&self) -> Model;
+    /// Technique combination of the cell.
+    fn techniques(&self) -> Techniques;
+    /// Cycles, when the cell completed.
+    fn cycles(&self) -> Option<u64>;
 }
 
-/// Renders matrix rows as a fixed-width table: one row per model, one
-/// column per technique combination (cycles), plus the speedup of the
-/// full proposal over the conventional implementation.
+impl TableCell for MatrixRow {
+    fn model(&self) -> Model {
+        self.model
+    }
+
+    fn techniques(&self) -> Techniques {
+        self.techniques
+    }
+
+    fn cycles(&self) -> Option<u64> {
+        Some(self.cycles)
+    }
+}
+
+impl<T: TableCell> TableCell for &T {
+    fn model(&self) -> Model {
+        (*self).model()
+    }
+
+    fn techniques(&self) -> Techniques {
+        (*self).techniques()
+    }
+
+    fn cycles(&self) -> Option<u64> {
+        (*self).cycles()
+    }
+}
+
+fn cell<T: TableCell>(rows: &[T], m: Model, t: Techniques) -> Option<u64> {
+    rows.iter()
+        .find(|r| r.model() == m && r.techniques() == t)
+        .and_then(TableCell::cycles)
+}
+
+/// Renders rows as a fixed-width table: one row per model (in
+/// first-appearance order), one cycles column per technique combination
+/// (`base`, `spec`, `prefetch`, `pf+spec`), plus the speedup of the full
+/// proposal over the conventional implementation. Failed cells render as
+/// `-`.
 #[must_use]
-pub fn format_table(title: &str, rows: &[MatrixRow]) -> String {
+pub fn format_table<T: TableCell>(title: &str, rows: &[T]) -> String {
     use std::fmt::Write as _;
-    let mut models: Vec<Model> = rows.iter().map(|r| r.model).collect();
-    models.dedup();
-    let mut techs: Vec<Techniques> = rows.iter().map(|r| r.techniques).collect();
+    let mut models: Vec<Model> = Vec::new();
+    for r in rows {
+        if !models.contains(&r.model()) {
+            models.push(r.model());
+        }
+    }
+    let mut techs: Vec<Techniques> = rows.iter().map(TableCell::techniques).collect();
     techs.sort_by_key(|t| (t.prefetch, t.speculative_loads));
     techs.dedup();
 
@@ -155,21 +193,9 @@ pub fn format_table(title: &str, rows: &[MatrixRow]) -> String {
     let _ = writeln!(out, " {:>9}", "speedup");
     for m in models {
         let _ = write!(out, "{:<6}", m.name());
-        let mut base = None;
-        let mut best = None;
         for t in &techs {
-            let cell = rows
-                .iter()
-                .find(|r| r.model == m && r.techniques == *t)
-                .map(|r| r.cycles);
-            match cell {
+            match cell(rows, m, *t) {
                 Some(c) => {
-                    if *t == Techniques::NONE {
-                        base = Some(c);
-                    }
-                    if *t == Techniques::BOTH {
-                        best = Some(c);
-                    }
                     let _ = write!(out, " {c:>10}");
                 }
                 None => {
@@ -177,7 +203,10 @@ pub fn format_table(title: &str, rows: &[MatrixRow]) -> String {
                 }
             }
         }
-        match (base, best) {
+        match (
+            cell(rows, m, Techniques::NONE),
+            cell(rows, m, Techniques::BOTH),
+        ) {
             (Some(b), Some(x)) if x > 0 => {
                 let _ = writeln!(out, " {:>8.2}x", b as f64 / x as f64);
             }
@@ -189,15 +218,16 @@ pub fn format_table(title: &str, rows: &[MatrixRow]) -> String {
     out
 }
 
-/// The largest relative spread of cycle counts across models for one
-/// technique setting: `(max - min) / min`. The paper's equalization claim
-/// is that this spread collapses once both techniques are on.
+/// The largest relative spread of completed cycle counts across models
+/// for one technique setting: `(max - min) / min`. The paper's
+/// equalization claim is that this spread collapses once both techniques
+/// are on.
 #[must_use]
-pub fn model_spread(rows: &[MatrixRow], t: Techniques) -> f64 {
+pub fn model_spread<T: TableCell>(rows: &[T], t: Techniques) -> f64 {
     let cycles: Vec<u64> = rows
         .iter()
-        .filter(|r| r.techniques == t)
-        .map(|r| r.cycles)
+        .filter(|r| r.techniques() == t)
+        .filter_map(TableCell::cycles)
         .collect();
     match (cycles.iter().min(), cycles.iter().max()) {
         (Some(&min), Some(&max)) if min > 0 => (max - min) as f64 / min as f64,
@@ -266,10 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn try_run_matrix_reports_timeout_as_failed_cell() {
+    fn run_matrix_reports_timeout_as_failed_cell() {
         let mut cfg = MachineConfig::paper();
         cfg.max_cycles = 3; // far below any real run
-        let err = try_run_matrix(
+        let err = run_matrix(
             &cfg,
             &[Model::Sc],
             &[Techniques::NONE],

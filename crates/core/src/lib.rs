@@ -14,8 +14,10 @@
 //!   enumerator: the complete set of allowed final states under each
 //!   consistency model (SC membership is the paper's §4.2 correctness
 //!   statement; the conformance tests check every model against it).
-//! * [`harness`] — experiment helpers: run a model × technique matrix and
-//!   format the comparison tables of EXPERIMENTS.md.
+//! * [`harness`] — experiment helpers: run a model × technique matrix,
+//!   and the one table renderer and equalization spread, generic over
+//!   [`TableCell`] rows (matrix rows here, sweep point records in
+//!   `mcsim-sweep`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +32,7 @@ pub use mcsim_oracle as oracle;
 
 pub use event::EventQueue;
 pub use harness::{
-    conformance_config, format_table, model_spread, run_matrix, try_run_matrix, CellFailure,
-    MatrixRow,
+    conformance_config, format_table, model_spread, run_matrix, CellFailure, MatrixRow, TableCell,
 };
 pub use machine::{Engine, Machine, MachineConfig, RunTelemetry};
 pub use mcsim_guard::{

@@ -15,10 +15,8 @@ use serde::{Deserialize, Serialize};
 pub struct MachineConfig {
     /// Consistency model every core enforces.
     pub model: Model,
-    /// The paper's technique switches (applied to every core).
-    pub techniques: Techniques,
-    /// Core microarchitecture (its `techniques` field is overridden by
-    /// [`MachineConfig::techniques`] at build time).
+    /// Core microarchitecture, including the paper's technique switches
+    /// (applied to every core).
     pub proc: ProcConfig,
     /// Memory-system parameters.
     pub mem: MemConfig,
@@ -39,7 +37,6 @@ impl MachineConfig {
     pub fn paper() -> Self {
         MachineConfig {
             model: Model::Sc,
-            techniques: Techniques::NONE,
             proc: ProcConfig::paper(Techniques::NONE),
             mem: MemConfig::paper(),
             max_cycles: 2_000_000,
@@ -53,7 +50,6 @@ impl MachineConfig {
     pub fn paper_with(model: Model, techniques: Techniques) -> Self {
         MachineConfig {
             model,
-            techniques,
             proc: ProcConfig::paper(techniques),
             ..Self::paper()
         }
@@ -122,10 +118,10 @@ pub struct Machine {
     mem: MemorySystem,
     procs: Vec<Processor>,
     cycle: u64,
-    /// Scheduling engine (event-driven by default). A runtime switch —
-    /// deliberately not part of [`MachineConfig`], whose serialized form
-    /// is embedded in sweep artifacts that must not change — because it
-    /// alters only wall-clock time, never the report.
+    /// Scheduling engine (event-driven by default). A runtime switch,
+    /// deliberately not part of [`MachineConfig`] or of the sweep point
+    /// whose serialized form sweep artifacts and journals embed, because
+    /// it alters only wall-clock time, never the report.
     engine: Engine,
     /// The wake-up calendar feeding the event engine's jumps.
     events: EventQueue,
@@ -146,13 +142,11 @@ impl Machine {
         if cfg.trace {
             mem.enable_trace(DEFAULT_CAPACITY);
         }
-        let mut proc_cfg = cfg.proc;
-        proc_cfg.techniques = cfg.techniques;
         let procs = programs
             .into_iter()
             .enumerate()
             .map(|(i, prog)| {
-                let mut p = Processor::new(i, proc_cfg, cfg.model, prog);
+                let mut p = Processor::new(i, cfg.proc, cfg.model, prog);
                 if cfg.trace {
                     p.enable_trace(DEFAULT_CAPACITY);
                 }

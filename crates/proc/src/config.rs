@@ -77,19 +77,6 @@ pub struct ProcConfig {
     /// and buffered: "the instructions are assumed to be decoded and
     /// placed in the reorder buffer", §4.3).
     pub fetch_width: Option<usize>,
-    /// Instructions retired per cycle (`None` = unbounded).
-    pub commit_width: Option<usize>,
-    /// Extra cycles to compute an effective address once its operands are
-    /// ready. The paper ignores this delay ("we will ignore the delay due
-    /// to address calculation", §3.3), so the default is 0.
-    pub addr_calc_latency: u64,
-    /// Cycles between a squash and the first refetched instruction
-    /// entering the reorder buffer.
-    pub refetch_penalty: u64,
-    /// Forward store-buffer data to later same-address loads (dependence
-    /// checking on the store buffer, §4.2). Always safe; disabling forces
-    /// such loads to wait for the store to perform.
-    pub store_forwarding: bool,
     /// Footnote 2 ablation: under the *update* protocol, update hazards
     /// carry the written word and value, so the two provably-safe cases —
     /// false sharing (a different word of the line) and a same-value
@@ -99,18 +86,15 @@ pub struct ProcConfig {
 }
 
 impl ProcConfig {
-    /// The paper-calibrated configuration: ideal frontend, 64-entry ROB,
-    /// zero address-calculation delay.
+    /// The paper-calibrated configuration: ideal frontend, 64-entry ROB.
+    /// Like the paper (§3.3), the core charges no address-calculation
+    /// delay.
     #[must_use]
     pub fn paper(techniques: Techniques) -> Self {
         ProcConfig {
             techniques,
             rob_size: 64,
             fetch_width: None,
-            commit_width: None,
-            addr_calc_latency: 0,
-            refetch_penalty: 1,
-            store_forwarding: true,
             exact_update_check: false,
         }
     }
@@ -129,7 +113,7 @@ impl ProcConfig {
     /// Validates the parameters.
     ///
     /// # Panics
-    /// If the ROB is empty or a width is zero.
+    /// If the ROB is empty or the fetch width is zero.
     pub fn validate(&self) {
         assert!(
             self.rob_size >= 2,
@@ -137,9 +121,6 @@ impl ProcConfig {
         );
         if let Some(w) = self.fetch_width {
             assert!(w > 0, "fetch width must be positive");
-        }
-        if let Some(w) = self.commit_width {
-            assert!(w > 0, "commit width must be positive");
         }
     }
 }
@@ -168,7 +149,6 @@ mod tests {
         let c = ProcConfig::paper(Techniques::BOTH);
         c.validate();
         assert_eq!(c.fetch_width, None);
-        assert_eq!(c.addr_calc_latency, 0);
     }
 
     #[test]

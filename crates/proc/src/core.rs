@@ -59,6 +59,10 @@ use mcsim_mem::{
 use mcsim_trace::{BufferKind, IssueOutcome, TraceBuffer, TraceEvent, TraceKind};
 use std::collections::{HashMap, VecDeque};
 
+/// Cycles between a squash and the first refetched instruction entering
+/// the reorder buffer.
+const REFETCH_PENALTY: u64 = 1;
+
 /// What kind of access a load-queue entry is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LoadKind {
@@ -838,7 +842,7 @@ impl Processor {
         self.sw_prefetches.retain(|(s, _, _)| *s < from);
         self.exec_queue.retain(|&s| s < from);
         self.pc = new_pc;
-        self.fetch_stalled_until = now + self.cfg.refetch_penalty;
+        self.fetch_stalled_until = now + REFETCH_PENALTY;
         self.wakeups.push(self.fetch_stalled_until);
         self.fetch_done = false;
         self.progress = true;
@@ -1076,9 +1080,7 @@ impl Processor {
     /// component of the cycle breakdown).
     fn stage_commit(&mut self, now: u64) -> u64 {
         let mut retired = 0u64;
-        let mut budget = self.cfg.commit_width.unwrap_or(usize::MAX);
-        while budget > 0 {
-            let Some(head) = self.rob.head() else { break };
+        while let Some(head) = self.rob.head() {
             let seq = head.seq;
             let retire = match &head.instr {
                 Instr::Nop | Instr::Jump { .. } => true,
@@ -1142,7 +1144,6 @@ impl Processor {
                 self.emit_at(now, e.seq, Some(e.pc), TraceKind::HaltCommitted);
                 break;
             }
-            budget -= 1;
         }
         retired
     }
@@ -2036,26 +2037,6 @@ mod tests {
             run_to_halt(&mut p, &mut mem, 50_000);
             assert_eq!(mem.read_coherent(Addr(B)), 15, "rob={rob} width={width}");
         }
-    }
-
-    #[test]
-    fn commit_width_limits_retirement_rate() {
-        let mut b = ProgramBuilder::new("t");
-        for _ in 0..20 {
-            b = b.alu(R1, mcsim_isa::AluOp::Add, R1, 1u64);
-        }
-        let prog = b.halt().build().unwrap();
-        let run_with_commit = |w: Option<usize>| {
-            let mut mem = MemorySystem::new(MemConfig::paper(), 1);
-            let mut cfg = ProcConfig::paper(Techniques::NONE);
-            cfg.commit_width = w;
-            let mut p = Processor::new(0, cfg, Model::Sc, prog.clone());
-            run_to_halt(&mut p, &mut mem, 10_000)
-        };
-        let narrow = run_with_commit(Some(1));
-        let wide = run_with_commit(None);
-        assert!(narrow >= wide, "narrow commit cannot be faster");
-        assert!(narrow >= 20, "1-wide commit needs >= 20 cycles for 20 ALUs");
     }
 
     #[test]

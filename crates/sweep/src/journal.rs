@@ -462,6 +462,20 @@ mod tests {
         assert_eq!(hashes[0].len(), 16);
     }
 
+    /// Journals and served jobs on disk are keyed by these hashes, so a
+    /// serialization change that moves them strands every existing one.
+    /// The literals were produced by an earlier build; never re-derive
+    /// them from this one.
+    #[test]
+    fn e6_hashes_match_journals_written_by_earlier_builds() {
+        let spec = crate::builtin("e6-equalization").expect("built-in");
+        assert_eq!(spec_hash(&spec, None), "85f69cbc4d11a0a1");
+        let points = spec.points();
+        assert_eq!(point_hash(&points[0]), "51e44b0c3de5ef80");
+        assert_eq!(point_hash(&points[83]), "b485bdee9a10b427");
+        assert_eq!(points.len(), 84);
+    }
+
     #[test]
     fn spec_hash_depends_on_injection() {
         let s = spec();

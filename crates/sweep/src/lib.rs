@@ -13,8 +13,8 @@
 //!   time only.
 //! * [`PointRecord`] rows carry exact simulated counts (cycles,
 //!   prefetches, rollbacks, …); wall-clock telemetry lives separately in
-//!   [`SweepTiming`]. JSON and CSV writers plus the generalized
-//!   fixed-width/markdown table renderers sit on top.
+//!   [`SweepTiming`]. JSON and CSV writers and per-group model ×
+//!   technique tables ([`render_groups`]) sit on top.
 //! * A point that exhausts its cycle budget, fails a guard check
 //!   (invariant violation, protocol fault, watchdog), or panics becomes a
 //!   failed cell ([`PointOutcome::TimedOut`] / [`PointOutcome::Failed`] /
@@ -56,4 +56,4 @@ pub use progress::{fast_forward_speedup, ProgressSnapshot, ProgressState};
 pub use result::{PointMetrics, PointOutcome, PointRecord, SweepResult, SweepRun, SweepTiming};
 pub use spec::{derive_seed, MachineAxes, SweepPoint, SweepSpec, Window, WorkloadSpec};
 pub use supervise::{Isolation, RetryPolicy, Supervisor};
-pub use table::{format_table, markdown_table, model_spread, render_groups, TableCell};
+pub use table::render_groups;

@@ -100,6 +100,9 @@ pub enum WorkloadSpec {
     PaperExample1,
     /// The paper's Example 2 consumer (§3.3/§4.1), with its memory setup.
     PaperExample2,
+    /// Figure 5's two-processor segment with the canonical antagonist
+    /// timing (delay 50, new D = 5) and primed caches.
+    Figure5,
     /// A strided walk over `n` lines, loads or stores.
     ArraySweep {
         /// Lines touched.
@@ -163,6 +166,7 @@ impl WorkloadSpec {
             WorkloadSpec::CriticalSections { label, .. } => label.clone(),
             WorkloadSpec::PaperExample1 => "example1".to_string(),
             WorkloadSpec::PaperExample2 => "example2".to_string(),
+            WorkloadSpec::Figure5 => "figure5".to_string(),
             WorkloadSpec::ArraySweep { n, stores } => {
                 format!(
                     "array_sweep({n},{})",
@@ -219,6 +223,10 @@ impl WorkloadSpec {
             }),
             WorkloadSpec::PaperExample1 => vec![paper::example1()],
             WorkloadSpec::PaperExample2 => vec![paper::example2()],
+            WorkloadSpec::Figure5 => vec![
+                paper::figure5_main(),
+                paper::figure5_antagonist(FIG5_DELAY, FIG5_NEW_D),
+            ],
             WorkloadSpec::ArraySweep { n, stores } => vec![array_sweep(*n, *stores)],
             WorkloadSpec::PipelineHandoff { stages, values } => pipeline_handoff(*stages, *values),
             WorkloadSpec::TicketLock { procs, increments } => {
@@ -246,12 +254,82 @@ impl WorkloadSpec {
     pub fn setup(&self, m: &mut Machine) {
         match self {
             WorkloadSpec::PaperExample2 => paper::setup_example2(m),
+            WorkloadSpec::Figure5 => paper::setup_figure5(m, FIG5_NEW_D),
             WorkloadSpec::QueueLock { procs, increments } => {
                 for (a, v) in contended::queue_lock(*procs, *increments).1 {
                     m.write_memory(a, v);
                 }
             }
             _ => {}
+        }
+    }
+}
+
+/// The antagonist parameters behind [`WorkloadSpec::Figure5`]: the same
+/// pair the Figure 5 integration test pins.
+const FIG5_DELAY: u32 = 50;
+const FIG5_NEW_D: u64 = 5;
+
+/// Parses the `mcsim --workload` syntax: a name or alias, then the
+/// contended workloads' optional `:`-separated parameters, each ≥ 1
+/// (`ticket-lock:64:2` = 64 processors, 2 increments each). Omitted
+/// parameters take the defaults below.
+impl std::str::FromStr for WorkloadSpec {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        let mut parts = spec.split(':');
+        let name = parts.next().unwrap_or("");
+        let params = parts
+            .map(|p| match p.parse::<usize>() {
+                Ok(n) if n >= 1 => Ok(n),
+                _ => Err(format!("bad workload parameter `{p}` in `{spec}`")),
+            })
+            .collect::<Result<Vec<usize>, String>>()?;
+        let p = |i: usize, default: usize| params.get(i).copied().unwrap_or(default);
+        let fixed = |w: WorkloadSpec| {
+            if params.is_empty() {
+                Ok(w)
+            } else {
+                Err(format!("workload `{name}` takes no parameters"))
+            }
+        };
+        match name {
+            "figure5" | "fig5" => fixed(WorkloadSpec::Figure5),
+            "example1" | "ex1" => fixed(WorkloadSpec::PaperExample1),
+            "example2" | "ex2" => fixed(WorkloadSpec::PaperExample2),
+            "ticket-lock" | "ticket" => Ok(WorkloadSpec::TicketLock {
+                procs: p(0, 4),
+                increments: p(1, 4),
+            }),
+            "queue-lock" | "queue" => Ok(WorkloadSpec::QueueLock {
+                procs: p(0, 4),
+                increments: p(1, 4),
+            }),
+            "seqlock" => {
+                let words = p(2, 4);
+                if !(1..=7).contains(&words) {
+                    return Err(format!("seqlock words must be 1..=7, got {words}"));
+                }
+                Ok(WorkloadSpec::Seqlock {
+                    readers: p(0, 2),
+                    updates: p(1, 4),
+                    words,
+                })
+            }
+            "rcu" => Ok(WorkloadSpec::Rcu {
+                readers: p(0, 2),
+                versions: p(1, 4),
+            }),
+            "false-sharing" | "fs" => Ok(WorkloadSpec::FalseSharing {
+                procs: p(0, 4),
+                iters: p(1, 8),
+                stride_words: p(2, 1),
+            }),
+            other => Err(format!(
+                "unknown workload `{other}` (try figure5, example1, example2, \
+                 ticket-lock, queue-lock, seqlock, rcu, false-sharing)"
+            )),
         }
     }
 }
@@ -589,6 +667,78 @@ mod tests {
             assert_eq!(spec.programs(1).len(), procs, "{}", spec.label());
             // Labels are distinct and parameter-revealing.
             assert!(spec.label().contains('('), "{}", spec.label());
+        }
+    }
+
+    #[test]
+    fn workload_names_parse_to_their_variants_and_defaults() {
+        use WorkloadSpec as W;
+        let tl = W::TicketLock {
+            procs: 4,
+            increments: 4,
+        };
+        let ql = W::QueueLock {
+            procs: 4,
+            increments: 4,
+        };
+        let fs = W::FalseSharing {
+            procs: 4,
+            iters: 8,
+            stride_words: 1,
+        };
+        let cases = [
+            ("figure5", W::Figure5),
+            ("fig5", W::Figure5),
+            ("example1", W::PaperExample1),
+            ("ex1", W::PaperExample1),
+            ("example2", W::PaperExample2),
+            ("ex2", W::PaperExample2),
+            ("ticket-lock", tl.clone()),
+            ("ticket", tl),
+            ("queue-lock", ql.clone()),
+            ("queue", ql),
+            (
+                "seqlock",
+                W::Seqlock {
+                    readers: 2,
+                    updates: 4,
+                    words: 4,
+                },
+            ),
+            (
+                "rcu",
+                W::Rcu {
+                    readers: 2,
+                    versions: 4,
+                },
+            ),
+            ("false-sharing", fs.clone()),
+            ("fs", fs),
+            (
+                "ticket-lock:64:2",
+                W::TicketLock {
+                    procs: 64,
+                    increments: 2,
+                },
+            ),
+        ];
+        for (name, want) in cases {
+            assert_eq!(name.parse::<W>(), Ok(want), "{name}");
+        }
+        for (name, err) in [
+            ("fig5:3", "workload `fig5` takes no parameters"),
+            (
+                "ticket-lock:0",
+                "bad workload parameter `0` in `ticket-lock:0`",
+            ),
+            ("seqlock:1:1:9", "seqlock words must be 1..=7, got 9"),
+            (
+                "bogus",
+                "unknown workload `bogus` (try figure5, example1, example2, \
+                 ticket-lock, queue-lock, seqlock, rcu, false-sharing)",
+            ),
+        ] {
+            assert_eq!(name.parse::<W>(), Err(err.to_string()), "{name}");
         }
     }
 

@@ -1,41 +1,17 @@
-//! Table rendering generalized over result-row types.
+//! Model × technique tables over sweep results.
 //!
-//! The fixed-width and markdown model × technique tables originally lived
-//! on `mcsim_core::MatrixRow`; the [`TableCell`] trait lets the same
-//! renderers consume sweep [`PointRecord`]s (where a failed cell renders
-//! as `-`) and any future row type.
+//! The renderer and the equalization spread live once, generic over
+//! [`TableCell`], in `mcsim_core::harness`; this module makes sweep
+//! [`PointRecord`]s table rows (a failed cell renders as `-`) and titles
+//! one table per machine-parameter group.
 
 use std::fmt::Write as _;
 
 use mcsim_consistency::Model;
-use mcsim_core::MatrixRow;
+use mcsim_core::{format_table, TableCell};
 use mcsim_proc::Techniques;
 
 use crate::result::{PointRecord, SweepResult};
-
-/// A result row a model × technique table can be built from.
-pub trait TableCell {
-    /// Consistency model of the cell.
-    fn model(&self) -> Model;
-    /// Technique combination of the cell.
-    fn techniques(&self) -> Techniques;
-    /// Cycles, when the cell completed.
-    fn cycles(&self) -> Option<u64>;
-}
-
-impl TableCell for MatrixRow {
-    fn model(&self) -> Model {
-        self.model
-    }
-
-    fn techniques(&self) -> Techniques {
-        self.techniques
-    }
-
-    fn cycles(&self) -> Option<u64> {
-        Some(self.cycles)
-    }
-}
 
 impl TableCell for PointRecord {
     fn model(&self) -> Model {
@@ -48,125 +24,6 @@ impl TableCell for PointRecord {
 
     fn cycles(&self) -> Option<u64> {
         self.outcome.cycles()
-    }
-}
-
-impl<T: TableCell> TableCell for &T {
-    fn model(&self) -> Model {
-        (*self).model()
-    }
-
-    fn techniques(&self) -> Techniques {
-        (*self).techniques()
-    }
-
-    fn cycles(&self) -> Option<u64> {
-        (*self).cycles()
-    }
-}
-
-/// Distinct models (first-appearance order) and techniques (ablation
-/// order) present in `rows`.
-fn axes<T: TableCell>(rows: &[T]) -> (Vec<Model>, Vec<Techniques>) {
-    let mut models: Vec<Model> = Vec::new();
-    for r in rows {
-        if !models.contains(&r.model()) {
-            models.push(r.model());
-        }
-    }
-    let mut techs: Vec<Techniques> = rows.iter().map(TableCell::techniques).collect();
-    techs.sort_by_key(|t| (t.prefetch, t.speculative_loads));
-    techs.dedup();
-    (models, techs)
-}
-
-fn cell<T: TableCell>(rows: &[T], m: Model, t: Techniques) -> Option<u64> {
-    rows.iter()
-        .find(|r| r.model() == m && r.techniques() == t)
-        .and_then(TableCell::cycles)
-}
-
-/// Fixed-width table: one row per model, one cycles column per technique
-/// combination, plus the speedup of the full proposal (`pf+spec`) over
-/// the conventional implementation (`base`). Failed cells render as `-`.
-#[must_use]
-pub fn format_table<T: TableCell>(title: &str, rows: &[T]) -> String {
-    let (models, techs) = axes(rows);
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = write!(out, "{:<6}", "model");
-    for t in &techs {
-        let _ = write!(out, " {:>10}", t.label());
-    }
-    let _ = writeln!(out, " {:>9}", "speedup");
-    for m in models {
-        let _ = write!(out, "{:<6}", m.name());
-        for t in &techs {
-            match cell(rows, m, *t) {
-                Some(c) => {
-                    let _ = write!(out, " {c:>10}");
-                }
-                None => {
-                    let _ = write!(out, " {:>10}", "-");
-                }
-            }
-        }
-        let base = cell(rows, m, Techniques::NONE);
-        let best = cell(rows, m, Techniques::BOTH);
-        match (base, best) {
-            (Some(b), Some(x)) if x > 0 => {
-                let _ = writeln!(out, " {:>8.2}x", b as f64 / x as f64);
-            }
-            _ => {
-                let _ = writeln!(out, " {:>9}", "-");
-            }
-        }
-    }
-    out
-}
-
-/// Markdown variant of [`format_table`], suitable for pasting into
-/// EXPERIMENTS.md.
-#[must_use]
-pub fn markdown_table<T: TableCell>(rows: &[T]) -> String {
-    let (models, techs) = axes(rows);
-    let mut out = String::from("| model |");
-    for t in &techs {
-        let _ = write!(out, " {} |", t.label());
-    }
-    out.push('\n');
-    out.push_str("|---|");
-    for _ in &techs {
-        out.push_str("---|");
-    }
-    out.push('\n');
-    for m in models {
-        let _ = write!(out, "| {} |", m.name());
-        for t in &techs {
-            match cell(rows, m, *t) {
-                Some(c) => {
-                    let _ = write!(out, " {c} |");
-                }
-                None => out.push_str(" - |"),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Relative spread of cycle counts across models for one technique
-/// setting — `(max - min) / min` (the equalization metric).
-#[must_use]
-pub fn model_spread<T: TableCell>(rows: &[T], t: Techniques) -> f64 {
-    let cycles: Vec<u64> = rows
-        .iter()
-        .filter(|r| r.techniques() == t)
-        .filter_map(TableCell::cycles)
-        .collect();
-    match (cycles.iter().min(), cycles.iter().max()) {
-        (Some(&min), Some(&max)) if min > 0 => (max - min) as f64 / min as f64,
-        _ => 0.0,
     }
 }
 
@@ -199,8 +56,9 @@ pub fn render_groups(result: &SweepResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::{PointOutcome, PointRecord};
+    use crate::result::PointOutcome;
     use crate::spec::{SweepSpec, WorkloadSpec};
+    use mcsim_core::model_spread;
 
     fn rows_with_failure() -> Vec<PointRecord> {
         let mut spec = SweepSpec::new("t", "table unit tests");
@@ -252,9 +110,6 @@ mod tests {
         assert!(table.contains("SC"), "{table}");
         let rc_line = table.lines().find(|l| l.starts_with("RC")).unwrap();
         assert!(rc_line.contains('-'), "{rc_line}");
-        let md = markdown_table(&rows);
-        assert!(md.contains("| RC |"), "{md}");
-        assert!(md.contains(" - |"), "{md}");
     }
 
     #[test]

@@ -18,11 +18,12 @@ use mcsim::sim::{
     SimError,
 };
 use mcsim::trace::{chrome, csv, fig5, TraceEvent, TraceFilter};
-use mcsim::workloads::{contended, litmus, paper};
+use mcsim::workloads::litmus;
 use mcsim_consistency::Model;
 use mcsim_isa::asm;
 use mcsim_isa::Program;
 use mcsim_proc::Techniques;
+use mcsim_sweep::WorkloadSpec;
 use serde::Serialize;
 use std::process::ExitCode;
 
@@ -163,139 +164,6 @@ fn load_programs(paths: &[String]) -> Result<Vec<Program>, String> {
         .collect()
 }
 
-/// Built-in workloads (`--workload`): the canonical paper figures plus
-/// the contended scale-out library, so big-N runs need no assembly
-/// files. Contended workloads take `:`-separated parameters
-/// (`ticket-lock:64:2` = 64 processors, 2 increments each).
-#[derive(Debug, Clone, Copy)]
-enum Workload {
-    /// Figure 5's two-processor segment with the canonical antagonist
-    /// timing (delay 50, new D = 5) and primed caches.
-    Figure5,
-    /// Figure 2 example 1 (the producer), single processor.
-    Example1,
-    /// Figure 2 example 2 (the consumer), `D` pre-cached.
-    Example2,
-    /// Ticket lock: `procs` processors, `increments` each on one counter.
-    TicketLock { procs: usize, increments: usize },
-    /// Anderson-style array queue lock (local spinning).
-    QueueLock { procs: usize, increments: usize },
-    /// Seqlock: one writer, `readers` optimistic snapshotters.
-    Seqlock {
-        readers: usize,
-        updates: usize,
-        words: usize,
-    },
-    /// RCU-style pointer publication with dependent reads.
-    Rcu { readers: usize, versions: usize },
-    /// Stride-controlled false-sharing sweep.
-    FalseSharing {
-        procs: usize,
-        iters: usize,
-        stride: usize,
-    },
-}
-
-/// The antagonist parameters behind `--workload figure5` — the same pair
-/// the Figure 5 integration test pins.
-const FIG5_DELAY: u32 = 50;
-const FIG5_NEW_D: u64 = 5;
-
-impl Workload {
-    fn parse(spec: &str) -> Result<Self, String> {
-        let mut parts = spec.split(':');
-        let name = parts.next().unwrap_or("");
-        let params = parts
-            .map(|p| match p.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!("bad workload parameter `{p}` in `{spec}`")),
-            })
-            .collect::<Result<Vec<usize>, String>>()?;
-        let p = |i: usize, default: usize| params.get(i).copied().unwrap_or(default);
-        let fixed = |w: Workload| {
-            if params.is_empty() {
-                Ok(w)
-            } else {
-                Err(format!("workload `{name}` takes no parameters"))
-            }
-        };
-        match name {
-            "figure5" | "fig5" => fixed(Workload::Figure5),
-            "example1" | "ex1" => fixed(Workload::Example1),
-            "example2" | "ex2" => fixed(Workload::Example2),
-            "ticket-lock" | "ticket" => Ok(Workload::TicketLock {
-                procs: p(0, 4),
-                increments: p(1, 4),
-            }),
-            "queue-lock" | "queue" => Ok(Workload::QueueLock {
-                procs: p(0, 4),
-                increments: p(1, 4),
-            }),
-            "seqlock" => {
-                let words = p(2, 4);
-                if !(1..=7).contains(&words) {
-                    return Err(format!("seqlock words must be 1..=7, got {words}"));
-                }
-                Ok(Workload::Seqlock {
-                    readers: p(0, 2),
-                    updates: p(1, 4),
-                    words,
-                })
-            }
-            "rcu" => Ok(Workload::Rcu {
-                readers: p(0, 2),
-                versions: p(1, 4),
-            }),
-            "false-sharing" | "fs" => Ok(Workload::FalseSharing {
-                procs: p(0, 4),
-                iters: p(1, 8),
-                stride: p(2, 1),
-            }),
-            other => Err(format!(
-                "unknown workload `{other}` (try figure5, example1, example2, \
-                 ticket-lock, queue-lock, seqlock, rcu, false-sharing)"
-            )),
-        }
-    }
-
-    fn programs(self) -> Vec<Program> {
-        match self {
-            Workload::Figure5 => vec![
-                paper::figure5_main(),
-                paper::figure5_antagonist(FIG5_DELAY, FIG5_NEW_D),
-            ],
-            Workload::Example1 => vec![paper::example1()],
-            Workload::Example2 => vec![paper::example2()],
-            Workload::TicketLock { procs, increments } => contended::ticket_lock(procs, increments),
-            Workload::QueueLock { procs, increments } => contended::queue_lock(procs, increments).0,
-            Workload::Seqlock {
-                readers,
-                updates,
-                words,
-            } => contended::seqlock(readers, updates, words),
-            Workload::Rcu { readers, versions } => contended::rcu(readers, versions),
-            Workload::FalseSharing {
-                procs,
-                iters,
-                stride,
-            } => contended::false_sharing(procs, iters, stride),
-        }
-    }
-
-    fn setup(self, m: &mut Machine) {
-        match self {
-            Workload::Figure5 => paper::setup_figure5(m, FIG5_NEW_D),
-            Workload::Example2 => paper::setup_example2(m),
-            Workload::QueueLock { procs, increments } => {
-                for (a, v) in contended::queue_lock(procs, increments).1 {
-                    m.write_memory(a, v);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 enum TraceFormat {
     #[default]
@@ -327,7 +195,7 @@ impl TraceFormat {
 
 struct RunOpts {
     files: Vec<String>,
-    workload: Option<Workload>,
+    workload: Option<WorkloadSpec>,
     litmus: Option<litmus::Litmus>,
     cfg: MachineConfig,
     mem_init: Vec<(u64, u64)>,
@@ -369,7 +237,7 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
         match a.as_str() {
             "--model" => o.cfg.model = value("--model")?.parse::<Model>()?,
             "--techniques" => {
-                o.cfg.techniques = match value("--techniques")?.as_str() {
+                o.cfg.proc.techniques = match value("--techniques")?.as_str() {
                     "base" | "none" => Techniques::NONE,
                     "prefetch" | "pf" => Techniques::PREFETCH,
                     "spec" | "speculation" => Techniques::SPECULATION,
@@ -408,7 +276,7 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
                     parse_u64(val).ok_or("bad --mem value")?,
                 ));
             }
-            "--workload" => o.workload = Some(Workload::parse(&value("--workload")?)?),
+            "--workload" => o.workload = Some(value("--workload")?.parse()?),
             "--litmus" => {
                 let name = value("--litmus")?;
                 let corpus = litmus::conformance_corpus();
@@ -464,7 +332,6 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
             file => o.files.push(file.to_string()),
         }
     }
-    o.cfg.proc.techniques = o.cfg.techniques;
     let sources = usize::from(o.workload.is_some())
         + usize::from(o.litmus.is_some())
         + usize::from(!o.files.is_empty());
@@ -479,8 +346,8 @@ impl RunOpts {
         if let Some(l) = &self.litmus {
             return Ok(l.programs.clone());
         }
-        match self.workload {
-            Some(w) => Ok(w.programs()),
+        match &self.workload {
+            Some(w) => Ok(w.programs(0)),
             None => load_programs(&self.files),
         }
     }
@@ -495,7 +362,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     } else {
         Engine::Event
     });
-    if let Some(w) = o.workload {
+    if let Some(w) = &o.workload {
         w.setup(&mut m);
     }
     if let Some(l) = &o.litmus {
@@ -537,7 +404,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     println!(
         "{} / {}: {}",
         o.cfg.model,
-        o.cfg.techniques.label(),
+        o.cfg.proc.techniques.label(),
         report.summary()
     );
     for (p, rf) in report.regfiles.iter().enumerate() {
@@ -561,7 +428,7 @@ fn cmd_matrix(args: &[String]) -> Result<(), String> {
     let o = parse_run_opts(args)?;
     let programs = o.programs()?;
     let mem_init = o.mem_init.clone();
-    let workload = o.workload;
+    let workload = &o.workload;
     let rows = run_matrix(
         &o.cfg,
         &Model::ALL_EXTENDED,

@@ -21,14 +21,14 @@ use std::process::Command;
 use common::{report_example1, report_example2, run_ah};
 use mcsim::prelude::*;
 use mcsim::proc::stats::LatencyHistogram;
-use mcsim::sim::{format_table, run_matrix};
+use mcsim::sim::{format_table, model_spread, run_matrix};
 use mcsim::workloads::generators::{critical_sections, hit_dependence_chain, CriticalSections};
 use mcsim_consistency::table;
 use mcsim_isa::reg::{R1, R2};
 use mcsim_isa::AluOp;
 use mcsim_mem::Protocol;
 use mcsim_proc::ProcConfig;
-use mcsim_sweep::{builtin, model_spread, render_groups, run_sweep, ExecOptions};
+use mcsim_sweep::{builtin, render_groups, run_sweep, ExecOptions};
 use mcsim_sweep::{PointRecord, SweepResult};
 
 const DOC: &str = "EXPERIMENTS.md";
@@ -134,8 +134,7 @@ fn organization() -> String {
     let fetch = p
         .fetch_width
         .map_or("ideal width".into(), |w| format!("{w}-wide"));
-    let (rob, addr_calc, mshrs, protocol) =
-        (p.rob_size, p.addr_calc_latency, mem.mshrs, mem.protocol);
+    let (rob, mshrs, protocol) = (p.rob_size, mem.mshrs, mem.protocol);
     let (sets, ways, line) = (mem.cache.sets, mem.cache.ways, 1u64 << mem.cache.block_bits);
     let t = mem.timings;
     let (hit, miss, hop, svc, remote) = (t.hit, t.clean_miss(), t.hop, t.svc, t.remote_miss());
@@ -150,7 +149,7 @@ fn organization() -> String {
 
 Figure 4 — load/store unit organization (simulated)
   address unit      : in-order effective-address computation,
-                      {addr_calc}-cycle address calculation
+                      0-cycle address calculation
   store buffer      : FIFO; issue gated by ROB-head release +
                       per-model delay arcs; SC/PC retire-at-completion
   speculative-load  : fields per entry: load address (line), acq,
