@@ -8,8 +8,8 @@ cd "$(dirname "$0")/.."
 
 # Build first and run the binary directly: SIGKILLing a `cargo run`
 # wrapper would orphan the actual simulator process.
-cargo build --release -p mcsim-sweep
-BIN=target/release/mcsim-sweep
+cargo build --release --offline
+BIN=target/release/mcsim
 
 # Set MCSIM_CI_DIR to keep the work directory (CI uploads it as a debug
 # artifact when this script fails).
@@ -18,11 +18,11 @@ mkdir -p "$work"
 if [ -z "${MCSIM_CI_DIR:-}" ]; then trap 'rm -rf "$work"' EXIT; fi
 
 echo "== reference: uninterrupted run =="
-"$BIN" --builtin e6-equalization --jobs 4 --quiet \
+"$BIN" sweep --builtin e6-equalization --jobs 4 --quiet \
   --json "$work/ref.json" --csv "$work/ref.csv"
 
 echo "== journaled run, SIGKILLed mid-flight =="
-"$BIN" --builtin e6-equalization --jobs 1 --quiet --legacy-step \
+"$BIN" sweep --builtin e6-equalization --jobs 1 --quiet --legacy-step \
   --journal "$work/run.jsonl" &
 pid=$!
 # Wait until at least a couple of points are journaled, then kill -9.
@@ -46,20 +46,20 @@ if [ "$lines" -gt 40 ]; then
 fi
 
 echo "== resume and compare =="
-"$BIN" --builtin e6-equalization --jobs 4 --quiet \
+"$BIN" sweep --builtin e6-equalization --jobs 4 --quiet \
   --resume "$work/run.jsonl" --json "$work/resumed.json" --csv "$work/resumed.csv"
 cmp "$work/ref.json" "$work/resumed.json"
 cmp "$work/ref.csv" "$work/resumed.csv"
 echo "OK: resumed artifacts byte-identical to the uninterrupted run"
 
 echo "== process isolation determinism =="
-"$BIN" --builtin e6-equalization --jobs 4 --quiet --isolate process \
+"$BIN" sweep --builtin e6-equalization --jobs 4 --quiet --isolate process \
   --json "$work/proc.json"
 cmp "$work/ref.json" "$work/proc.json"
 echo "OK: --isolate process artifact byte-identical to thread mode"
 
 echo "== injected protocol fault: deterministic failures, no retry =="
-"$BIN" --builtin e7-speculation --quiet --isolate process --retries 3 \
+"$BIN" sweep --builtin e7-speculation --quiet --isolate process --retries 3 \
   --inject drop-inv:1 --json "$work/inject.json"
 grep -q '"Failed"' "$work/inject.json"
 if grep -q '"attempts": [^1]' "$work/inject.json"; then
@@ -68,7 +68,7 @@ fi
 echo "OK: injected faults recorded as failed cells on attempt 1"
 
 echo "== transient worker loss: bounded retry recovers =="
-MCSIM_SWEEP_TEST_ABORT=2 "$BIN" --builtin e13-window --quiet \
+MCSIM_SWEEP_TEST_ABORT=2 "$BIN" sweep --builtin e13-window --quiet \
   --isolate process --retries 3 --json "$work/retry.json"
 if grep -q '"Crashed"' "$work/retry.json"; then
   echo "ERROR: retry failed to recover an aborting worker"; exit 1

@@ -14,7 +14,6 @@ cd "$(dirname "$0")/.."
 # wrapper would orphan the actual server process.
 cargo build --release --offline
 BIN=target/release/mcsim
-SWEEP=target/release/mcsim-sweep
 
 work="${MCSIM_CI_DIR:-$(mktemp -d)}"
 mkdir -p "$work"
@@ -46,7 +45,7 @@ poll_done() { # poll_done ADDR ID -> waits until the job is done
 }
 
 echo "== reference: batch CLI artifact =="
-"$SWEEP" --builtin e6-equalization --jobs 4 --quiet --json "$work/ref.json"
+"$BIN" sweep --builtin e6-equalization --jobs 4 --quiet --json "$work/ref.json"
 
 echo "== serve: submit builtin, poll to done, fetch results =="
 "$BIN" serve --addr 127.0.0.1:0 --addr-file "$work/addr1" \

@@ -15,7 +15,7 @@
 //! | `GET /sweeps`                     | array of job status objects |
 //! | `POST /sweeps`                    | `202` + `{"id","points"}`; body is a `SweepSpec` or `{"builtin":"<name>"}` |
 //! | `GET /sweeps/<id>`                | status: state, completed/total, failure classes, rate, ETA |
-//! | `GET /sweeps/<id>/results`        | the final artifact, byte-identical to `mcsim-sweep --json` |
+//! | `GET /sweeps/<id>/results`        | the final artifact, byte-identical to `mcsim sweep --json` |
 //! | `GET /sweeps/<id>/journal`        | complete journal lines so far (`?follow=1` streams until done) |
 //! | `GET /sweeps/<id>/trace/<hash>`   | Chrome-trace post-mortem of a failed point (deterministic re-run) |
 //! | `POST /shutdown`                  | drain: finish running jobs, refuse new ones, exit |
@@ -323,7 +323,7 @@ fn results<W: Write>(id: &str, registry: &Arc<Registry>, w: &mut W) -> std::io::
             let path = registry.result_path(id).expect("done job has a dir");
             match std::fs::read(&path) {
                 // Raw bytes of the artifact: the byte-identity contract
-                // with `mcsim-sweep --json` is the whole point.
+                // with `mcsim sweep --json` is the whole point.
                 Ok(bytes) => http::write_response(
                     w,
                     &Response {

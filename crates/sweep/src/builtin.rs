@@ -1,6 +1,6 @@
 //! Named built-in sweep specs — the experiment grids of EXPERIMENTS.md
-//! expressed declaratively, shared by the `mcsim-sweep` CLI and the
-//! migrated experiment binaries.
+//! expressed declaratively, shared by `mcsim sweep`, `mcsim serve` and
+//! the pinned EXPERIMENTS.md blocks.
 
 use mcsim_consistency::Model;
 use mcsim_mem::{DirFormat, OverflowPolicy};

@@ -84,9 +84,10 @@ pub struct ExecOptions {
     /// what points compute, so it participates in the journal's spec
     /// hash.
     pub inject: Option<FaultKind>,
-    /// Worker executable for process isolation. `None` = the current
-    /// executable (correct when running as `mcsim-sweep`); tests point
-    /// this at the built binary.
+    /// Worker executable for process isolation, spawned as
+    /// `<exe> sweep --point <hash>`. `None` = the current executable
+    /// (correct when running as `mcsim`); tests point this at the built
+    /// binary.
     pub worker_exe: Option<PathBuf>,
     /// Extra environment for worker processes — the hook the tests and
     /// CI use to inject *process-level* faults (aborts, hangs) into
@@ -286,13 +287,7 @@ pub fn run_sweep_with(
         Isolation::Thread => None,
         Isolation::Process => Some(Supervisor::new(
             serde_json::to_string(spec).map_err(|e| e.to_string())?,
-            opts.worker_exe.clone(),
-            opts.deadline,
-            opts.retry,
-            opts.fast_forward,
-            opts.inject,
-            opts.trace_dir.clone(),
-            opts.worker_env.clone(),
+            opts,
         )?),
     };
 
@@ -419,7 +414,7 @@ pub fn run_sweep_with(
 /// into failed outcomes. The returned telemetry is wall-clock
 /// bookkeeping only — the record is identical under both engines. This
 /// is the single execution path shared by thread-mode workers and the
-/// `mcsim-sweep --point` child process.
+/// `mcsim sweep --point` child process.
 #[must_use]
 pub fn execute_point(
     point: &SweepPoint,

@@ -29,7 +29,7 @@
 //!   abort or OOM kill costs one cell, not the sweep.
 //!
 //! The named grids of EXPERIMENTS.md live in [`builtin`]; the
-//! `mcsim-sweep` binary runs either a built-in or a spec file.
+//! `mcsim sweep` command runs either a built-in or a spec file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 //!
 //! In `--isolate process` mode the sweep's worker threads do not run
 //! points themselves: each point is dispatched to a fresh child process
-//! — `mcsim-sweep --point <hash>` — which receives the spec as JSON on
+//! — `mcsim sweep --point <hash>` — which receives the spec as JSON on
 //! stdin, executes exactly the one point whose content hash matches, and
 //! writes the completed [`JournalEntry`] as a single JSON line on
 //! stdout. The supervisor enforces a wall-clock deadline per point, so a
@@ -26,14 +26,14 @@
 //!   attempt count.
 
 use std::io::Read as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use mcsim_core::RunTelemetry;
-use mcsim_guard::FaultKind;
 
+use crate::exec::ExecOptions;
 use crate::journal::JournalLine;
 use crate::result::{PointOutcome, PointRecord};
 use crate::spec::SweepPoint;
@@ -46,7 +46,7 @@ pub enum Isolation {
     /// OOM anywhere takes the whole sweep with it.
     #[default]
     Thread,
-    /// In a child `mcsim-sweep --point <hash>` process per point. A
+    /// In a child `mcsim sweep --point <hash>` process per point. A
     /// point that aborts, OOMs, or wedges past its deadline is killed
     /// and recorded; every other point completes.
     Process,
@@ -116,14 +116,9 @@ enum WorkerLoss {
 pub struct Supervisor {
     spec_json: String,
     worker_exe: PathBuf,
-    /// Wall-clock budget per point attempt.
-    pub deadline: Duration,
-    /// Bounded transient retry.
-    pub retry: RetryPolicy,
-    fast_forward: bool,
-    inject: Option<FaultKind>,
-    trace_dir: Option<PathBuf>,
-    worker_env: Vec<(String, String)>,
+    /// The sweep's options: deadline, retry budget, and the engine,
+    /// fault, trace directory and environment every worker inherits.
+    opts: ExecOptions,
 }
 
 /// How often the supervisor polls a running child against its deadline.
@@ -132,37 +127,22 @@ const POLL: Duration = Duration::from_millis(5);
 impl Supervisor {
     /// Builds the context for one sweep execution.
     ///
-    /// `worker_exe` defaults to the current executable — correct when
-    /// the supervisor *is* `mcsim-sweep`; tests point it at the built
-    /// binary explicitly.
+    /// The worker executable is [`ExecOptions::worker_exe`], defaulting
+    /// to the current executable — correct when the supervisor *is*
+    /// `mcsim`; tests point it at the built binary explicitly.
     ///
     /// # Errors
     /// If no worker executable can be determined.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        spec_json: String,
-        worker_exe: Option<PathBuf>,
-        deadline: Duration,
-        retry: RetryPolicy,
-        fast_forward: bool,
-        inject: Option<FaultKind>,
-        trace_dir: Option<PathBuf>,
-        worker_env: Vec<(String, String)>,
-    ) -> Result<Self, String> {
-        let worker_exe = match worker_exe {
-            Some(exe) => exe,
+    pub fn new(spec_json: String, opts: &ExecOptions) -> Result<Self, String> {
+        let worker_exe = match &opts.worker_exe {
+            Some(exe) => exe.clone(),
             None => std::env::current_exe()
                 .map_err(|e| format!("cannot locate worker executable: {e}"))?,
         };
         Ok(Supervisor {
             spec_json,
             worker_exe,
-            deadline,
-            retry,
-            fast_forward,
-            inject,
-            trace_dir,
-            worker_env,
+            opts: opts.clone(),
         })
     }
 
@@ -178,14 +158,14 @@ impl Supervisor {
                     return (record, telemetry);
                 }
                 Err(loss) => {
-                    if attempt < self.retry.max_attempts.max(1) {
+                    if attempt < self.opts.retry.max_attempts.max(1) {
                         attempt += 1;
-                        std::thread::sleep(self.retry.backoff(attempt));
+                        std::thread::sleep(self.opts.retry.backoff(attempt));
                         continue;
                     }
                     let outcome = match loss {
                         WorkerLoss::Wedged => PointOutcome::Wedged {
-                            deadline_ms: self.deadline.as_millis() as u64,
+                            deadline_ms: self.opts.deadline.as_millis() as u64,
                         },
                         WorkerLoss::Spawn(m) | WorkerLoss::Crashed(m) => {
                             PointOutcome::Crashed { message: m }
@@ -206,20 +186,21 @@ impl Supervisor {
         attempt: u32,
     ) -> Result<(PointRecord, RunTelemetry), WorkerLoss> {
         let mut cmd = Command::new(&self.worker_exe);
-        cmd.arg("--point")
+        cmd.arg("sweep")
+            .arg("--point")
             .arg(hash)
             .arg("--attempt")
             .arg(attempt.to_string());
-        if !self.fast_forward {
+        if !self.opts.fast_forward {
             cmd.arg("--legacy-step");
         }
-        if let Some(fault) = self.inject {
+        if let Some(fault) = self.opts.inject {
             cmd.arg("--inject").arg(fault.to_string());
         }
-        if let Some(dir) = &self.trace_dir {
+        if let Some(dir) = &self.opts.trace_dir {
             cmd.arg("--trace").arg(dir);
         }
-        for (k, v) in &self.worker_env {
+        for (k, v) in &self.opts.worker_env {
             cmd.env(k, v);
         }
         cmd.stdin(Stdio::piped())
@@ -265,7 +246,7 @@ impl Supervisor {
             match child.try_wait() {
                 Ok(Some(status)) => return Ok(status),
                 Ok(None) => {
-                    if started.elapsed() >= self.deadline {
+                    if started.elapsed() >= self.opts.deadline {
                         let _ = child.kill();
                         let _ = child.wait();
                         return Err(WorkerLoss::Wedged);
@@ -279,12 +260,6 @@ impl Supervisor {
                 }
             }
         }
-    }
-
-    /// The per-point trace directory, if post-mortems are enabled.
-    #[must_use]
-    pub fn trace_dir(&self) -> Option<&Path> {
-        self.trace_dir.as_deref()
     }
 }
 

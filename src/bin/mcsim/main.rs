@@ -8,10 +8,18 @@
 //! mcsim run --workload figure5 --trace fig5.txt --trace-format fig5
 //! mcsim matrix examples/asm/producer.s     # full model x technique table
 //! mcsim asm examples/asm/producer.s        # assemble + disassemble check
+//! mcsim sweep --builtin e6-equalization --jobs 4 --json e6.json
+//! mcsim serve --addr 127.0.0.1:7077        # HTTP sweep service
 //! ```
 //!
 //! Argument parsing is hand-rolled (the project's dependency policy keeps
-//! the tree to the sanctioned crates); see `mcsim --help`.
+//! the tree to the sanctioned crates): every subcommand reads its flags
+//! through [`args::Args`]. See `mcsim --help`.
+
+mod args;
+mod sweep;
+
+use args::Args;
 
 use mcsim::sim::{
     conformance_config, format_table, run_matrix, Engine, Machine, MachineConfig, RunReport,
@@ -23,6 +31,7 @@ use mcsim_consistency::Model;
 use mcsim_isa::asm;
 use mcsim_isa::Program;
 use mcsim_proc::Techniques;
+use mcsim_serve::ServerConfig;
 use mcsim_sweep::WorkloadSpec;
 use serde::Serialize;
 use std::process::ExitCode;
@@ -48,10 +57,11 @@ USAGE:
     mcsim oracle check-report <file.json> --litmus <name> [--model M]
                                            check a saved RunReport against the
                                            allowed set of a corpus litmus
+    mcsim sweep [OPTIONS]                  run a declarative experiment sweep
     mcsim serve [OPTIONS]                  long-running HTTP sweep service:
                                            POST SweepSpecs, poll progress,
                                            fetch byte-identical results
-                                           (see `mcsim serve --help`)
+    mcsim <command> --help                 print this text
 
 OPTIONS (run):
     --model <SC|TSO|PC|PSO|WC|RCsc|RC>  consistency model  [default: SC]
@@ -99,6 +109,78 @@ OPTIONS (run):
     --breakdown                   print the per-cause execution-time
                                   breakdown (stacked bars, paper Section 5)
     --json                        print the full report as JSON
+
+OPTIONS (sweep):
+    --builtin <name>              run a named built-in sweep (see --list)
+    --spec <file>                 run a SweepSpec from a JSON file
+    --list                        list built-in sweeps and exit
+    --print-spec                  print the selected spec as JSON and exit
+    --jobs <n>                    worker threads            [default: 1]
+    --json <file>                 write the result (spec + rows) as JSON;
+                                  bit-identical at any --jobs value
+    --timing-json <file>          write wall-clock timing telemetry as JSON
+                                  (not deterministic: varies run to run)
+    --csv <file>                  write the result rows as CSV
+    --journal <file>              stream each completed point to <file> as
+                                  a JSON line (crash-safe partial results)
+    --resume <file>               replay <file>, skip its completed points,
+                                  run the rest and keep journaling to it;
+                                  the merged result is byte-identical to an
+                                  uninterrupted run (a missing file just
+                                  starts fresh)
+    --isolate <thread|process>    run each point in a supervised child
+                                  process, so an abort, OOM kill or wedge
+                                  costs one cell, not the sweep
+                                                            [default: thread]
+    --retries <n>                 process mode: total attempts per point for
+                                  transient worker losses (deterministic
+                                  failures never retry)     [default: 3]
+    --deadline <secs>             process mode: wall-clock budget per point
+                                  attempt; a wedged worker is killed and
+                                  recorded                  [default: 300]
+    --inject <fault>              inject a protocol fault into every point
+    --legacy-step                 per-cycle loop instead of the event engine
+    --trace <dir>                 leave a Chrome trace post-mortem
+                                  (point-NNNN.trace.json) in <dir> for every
+                                  point that fails or times out
+    --quiet                       suppress tables and progress telemetry
+    --point <hash> [--attempt <n>]
+                                  worker mode, spawned by --isolate process:
+                                  read a spec from stdin, run the one point
+                                  whose content hash is <hash>, write its
+                                  journal line to stdout
+
+OPTIONS (serve):
+    --addr <host:port>            bind address (port 0 picks a free port)
+                                                   [default: 127.0.0.1:7077]
+    --state-dir <dir>             durable job state: spec, journal and result
+                                  per job; unfinished jobs resume from their
+                                  journals on restart
+                                                   [default: mcsim-serve-state]
+    --workers <n>                 concurrent jobs           [default: 2]
+    --jobs <n>                    worker threads per sweep (0 = one)
+                                                            [default: 1]
+    --max-pending <n>             admission bound; exceeding it answers 429
+                                                            [default: 8]
+    --legacy-step                 per-cycle loop instead of the event engine
+    --addr-file <file>            write the actual bound address to <file>
+                                  (for scripts binding port 0)
+    --quiet                       suppress startup/drain log lines
+
+ENDPOINTS (serve):
+    POST /sweeps                    submit a SweepSpec JSON body, or
+                                    {\"builtin\":\"<name>\"} -> 202 {id}
+    GET  /sweeps                    all jobs
+    GET  /sweeps/<id>               status: state, completed/total,
+                                    failure classes, rate, ETA
+    GET  /sweeps/<id>/results       final artifact (byte-identical to
+                                    mcsim sweep --json)
+    GET  /sweeps/<id>/journal       journal lines so far; ?follow=1
+                                    streams until the job finishes
+    GET  /sweeps/<id>/trace/<hash>  Chrome-trace post-mortem of a
+                                    failed point
+    POST /shutdown                  drain and exit
+    GET  /healthz                   liveness probe
 ";
 
 /// Merged trace events kept in a `--dump-on-failure` snapshot.
@@ -142,12 +224,17 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(h) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(h, 16).ok()
-    } else {
-        s.parse().ok()
-    }
+/// The conformance-corpus litmus test called `name`.
+fn find_litmus(name: &str) -> Result<litmus::Litmus, String> {
+    let corpus = litmus::conformance_corpus();
+    corpus
+        .iter()
+        .find(|l| l.name == name)
+        .cloned()
+        .ok_or_else(|| {
+            let names: Vec<&str> = corpus.iter().map(|l| l.name).collect();
+            format!("unknown litmus `{name}` (corpus: {})", names.join(", "))
+        })
 }
 
 fn load_programs(paths: &[String]) -> Result<Vec<Program>, String> {
@@ -211,7 +298,7 @@ struct RunOpts {
     dump_on_failure: Option<String>,
 }
 
-fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
+fn parse_run_opts(argv: &[String]) -> Result<RunOpts, String> {
     let mut o = RunOpts {
         files: Vec::new(),
         workload: None,
@@ -227,17 +314,12 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
         legacy_step: false,
         dump_on_failure: None,
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--model" => o.cfg.model = value("--model")?.parse::<Model>()?,
+    let mut args = Args::new(argv);
+    while let Some(a) = args.next() {
+        match a {
+            "--model" => o.cfg.model = args.value(a)?.parse::<Model>()?,
             "--techniques" => {
-                o.cfg.proc.techniques = match value("--techniques")?.as_str() {
+                o.cfg.proc.techniques = match args.value(a)?.as_str() {
                     "base" | "none" => Techniques::NONE,
                     "prefetch" | "pf" => Techniques::PREFETCH,
                     "spec" | "speculation" => Techniques::SPECULATION,
@@ -246,81 +328,51 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
                 }
             }
             "--protocol" => {
-                o.cfg.mem.protocol = match value("--protocol")?.as_str() {
+                o.cfg.mem.protocol = match args.value(a)?.as_str() {
                     "invalidate" | "inv" => mcsim_mem::Protocol::Invalidate,
                     "update" => mcsim_mem::Protocol::Update,
                     other => return Err(format!("unknown protocol `{other}`")),
                 }
             }
-            "--dir-format" => {
-                o.cfg.mem.dir_format = mcsim_mem::DirFormat::parse(&value("--dir-format")?)?;
-            }
+            "--dir-format" => o.cfg.mem.dir_format = mcsim_mem::DirFormat::parse(&args.value(a)?)?,
             "--miss" => {
-                let m = parse_u64(&value("--miss")?).ok_or("bad --miss value")?;
+                let m: u64 = args.number(a)?;
+                if m < 4 || m % 2 == 1 {
+                    return Err(format!("--miss must be even and at least 4, got {m}"));
+                }
                 o.cfg.mem.timings = mcsim_mem::MemTimings::with_miss_latency(m);
             }
             "--rob" => {
-                o.cfg.proc.rob_size =
-                    parse_u64(&value("--rob")?).ok_or("bad --rob value")? as usize;
+                let n: usize = args.number(a)?;
+                if n < 2 {
+                    return Err(format!("--rob must be at least 2, got {n}"));
+                }
+                o.cfg.proc.rob_size = n;
             }
-            "--max-cycles" => {
-                o.cfg.max_cycles = parse_u64(&value("--max-cycles")?).ok_or("bad --max-cycles")?;
-            }
-            "--mem" => {
-                let v = value("--mem")?;
-                let (a, val) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("--mem expects addr=value, got `{v}`"))?;
-                o.mem_init.push((
-                    parse_u64(a).ok_or("bad --mem address")?,
-                    parse_u64(val).ok_or("bad --mem value")?,
-                ));
-            }
-            "--workload" => o.workload = Some(value("--workload")?.parse()?),
-            "--litmus" => {
-                let name = value("--litmus")?;
-                let corpus = litmus::conformance_corpus();
-                o.litmus = Some(corpus.iter().find(|l| l.name == name).cloned().ok_or_else(
-                    || {
-                        let names: Vec<&str> = corpus.iter().map(|l| l.name).collect();
-                        format!("unknown litmus `{name}` (corpus: {})", names.join(", "))
-                    },
-                )?);
-            }
+            "--max-cycles" => o.cfg.max_cycles = args.number(a)?,
+            "--mem" => o.mem_init.push(args.pair(a, "=")?),
+            "--workload" => o.workload = Some(args.value(a)?.parse()?),
+            "--litmus" => o.litmus = Some(find_litmus(&args.value(a)?)?),
             "--invariants" => {
-                let v = value("--invariants")?;
+                let v = args.value(a)?;
                 o.cfg.guard.invariant_period = if v == "off" {
                     u64::MAX
                 } else {
-                    parse_u64(&v).ok_or("bad --invariants value")?
+                    args::number(a, &v)?
                 };
             }
-            "--inject" => {
-                o.cfg.guard.fault = Some(value("--inject")?.parse()?);
-            }
+            "--inject" => o.cfg.guard.fault = Some(args.value(a)?.parse()?),
             "--dump-on-failure" => {
                 o.cfg.trace = true; // the snapshot wants the trace tail
-                o.dump_on_failure = Some(value("--dump-on-failure")?);
+                o.dump_on_failure = Some(args.value(a)?);
             }
             "--trace" => {
                 o.cfg.trace = true;
-                o.trace_path = Some(value("--trace")?);
+                o.trace_path = Some(args.value(a)?);
             }
-            "--trace-format" => o.trace_format = TraceFormat::parse(&value("--trace-format")?)?,
-            "--trace-cycles" => {
-                let v = value("--trace-cycles")?;
-                let (a, b) = v
-                    .split_once("..")
-                    .ok_or_else(|| format!("--trace-cycles expects A..B, got `{v}`"))?;
-                o.trace_filter.cycles = Some((
-                    parse_u64(a).ok_or("bad --trace-cycles start")?,
-                    parse_u64(b).ok_or("bad --trace-cycles end")?,
-                ));
-            }
-            "--trace-proc" => {
-                o.trace_filter.proc =
-                    Some(parse_u64(&value("--trace-proc")?).ok_or("bad --trace-proc")? as usize);
-            }
+            "--trace-format" => o.trace_format = TraceFormat::parse(&args.value(a)?)?,
+            "--trace-cycles" => o.trace_filter.cycles = Some(args.pair(a, "..")?),
+            "--trace-proc" => o.trace_filter.proc = Some(args.number(a)?),
             "--timeline" => {
                 o.cfg.trace = true;
                 o.timeline = true;
@@ -489,28 +541,17 @@ fn cmd_oracle(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_oracle_enumerate(args: &[String]) -> Result<(), String> {
+fn cmd_oracle_enumerate(argv: &[String]) -> Result<(), String> {
     let mut files = Vec::new();
     let mut model = Model::Sc;
     let mut mem_init: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--model" => model = value("--model")?.parse::<Model>()?,
+    let mut args = Args::new(argv);
+    while let Some(a) = args.next() {
+        match a {
+            "--model" => model = args.value(a)?.parse::<Model>()?,
             "--mem" => {
-                let v = value("--mem")?;
-                let (addr, val) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("--mem expects addr=value, got `{v}`"))?;
-                mem_init.insert(
-                    parse_u64(addr).ok_or("bad --mem address")?,
-                    parse_u64(val).ok_or("bad --mem value")?,
-                );
+                let (addr, val) = args.pair(a, "=")?;
+                mem_init.insert(addr, val);
             }
             flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
             file => files.push(file.to_string()),
@@ -531,15 +572,12 @@ fn cmd_oracle_enumerate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_oracle_check(args: &[String]) -> Result<(), String> {
+fn cmd_oracle_check(argv: &[String]) -> Result<(), String> {
     let mut seeds = 4u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seeds" => {
-                let v = it.next().ok_or("--seeds needs a value")?;
-                seeds = parse_u64(v).ok_or("bad --seeds value")?.max(1);
-            }
+    let mut args = Args::new(argv);
+    while let Some(a) = args.next() {
+        match a {
+            "--seeds" => seeds = args.number::<u64>(a)?.max(1),
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -578,31 +616,22 @@ fn cmd_oracle_check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_oracle_check_report(args: &[String]) -> Result<(), String> {
+fn cmd_oracle_check_report(argv: &[String]) -> Result<(), String> {
     let mut path = None;
     let mut name = None;
     let mut model = Model::Sc;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--litmus" => name = Some(value("--litmus")?),
-            "--model" => model = value("--model")?.parse::<Model>()?,
+    let mut args = Args::new(argv);
+    while let Some(a) = args.next() {
+        match a {
+            "--litmus" => name = Some(args.value(a)?),
+            "--model" => model = args.value(a)?.parse::<Model>()?,
             flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
             file => path = Some(file.to_string()),
         }
     }
     let path = path.ok_or("check-report expects a RunReport JSON file")?;
     let name = name.ok_or("check-report needs --litmus <name>")?;
-    let corpus = litmus::conformance_corpus();
-    let l = corpus.iter().find(|l| l.name == name).ok_or_else(|| {
-        let names: Vec<&str> = corpus.iter().map(|l| l.name).collect();
-        format!("unknown litmus `{name}` (corpus: {})", names.join(", "))
-    })?;
+    let l = find_litmus(&name)?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let report: RunReport =
         serde_json::from_str(&text).map_err(|e| format!("{path}: invalid RunReport: {e}"))?;
@@ -622,41 +651,56 @@ fn cmd_models() {
     }
 }
 
+/// `mcsim serve` — run the HTTP sweep service until drained.
+fn cmd_serve(argv: &[String]) -> Result<(), String> {
+    let mut cfg = ServerConfig {
+        addr: "127.0.0.1:7077".to_string(),
+        ..ServerConfig::default()
+    };
+    let mut args = Args::new(argv);
+    while let Some(a) = args.next() {
+        match a {
+            "--addr" => cfg.addr = args.value(a)?,
+            "--state-dir" => cfg.state_dir = args.value(a)?.into(),
+            "--workers" => cfg.workers = args.number::<usize>(a)?.max(1),
+            "--jobs" => cfg.exec.jobs = args.number(a)?,
+            "--max-pending" => cfg.max_pending = args.number::<usize>(a)?.max(1),
+            "--legacy-step" => cfg.exec.fast_forward = false,
+            "--addr-file" => cfg.addr_file = Some(args.value(a)?.into()),
+            "--quiet" => cfg.quiet = true,
+            other => return Err(format!("unknown option `{other}`")),
+        }
+    }
+    mcsim_serve::serve(cfg)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        None | Some("--help" | "-h" | "help") => {
+    let wants_help = args.iter().any(|a| a == "--help" || a == "-h");
+    let (command, rest) = match args.split_first() {
+        Some((command, rest)) if !wants_help => (command.as_str(), rest),
+        _ => ("help", &[][..]),
+    };
+    let result = match command {
+        "help" => {
             print!("{HELP}");
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Some("models") => {
+        "models" => {
             cmd_models();
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Some("run") => match cmd_run(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Some("matrix") => match cmd_matrix(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Some("asm") => match cmd_asm(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Some("check-json") => match cmd_check_json(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Some("oracle") => match cmd_oracle(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Some("serve") => match mcsim_serve::run_cli(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Some(other) => fail(&format!("unknown command `{other}`")),
+        "run" => cmd_run(rest),
+        "matrix" => cmd_matrix(rest),
+        "asm" => cmd_asm(rest),
+        "check-json" => cmd_check_json(rest),
+        "oracle" => cmd_oracle(rest),
+        "sweep" => sweep::cmd_sweep(rest),
+        "serve" => cmd_serve(rest),
+        other => Err(format!("unknown command `{other}`")),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => fail(&e),
     }
 }

@@ -107,7 +107,7 @@ fn cli(args: &[&str]) -> String {
     fenced(&format!("{command}\n{stdout}"))
 }
 
-/// A built-in grid of `mcsim-sweep`, every point of which must complete.
+/// A built-in grid of `mcsim sweep`, every point of which must complete.
 fn sweep(name: &str) -> SweepResult {
     let opts = ExecOptions::default();
     let result = run_sweep(&builtin(name).unwrap(), &opts).unwrap().result;
@@ -115,7 +115,7 @@ fn sweep(name: &str) -> SweepResult {
     result
 }
 
-/// The grid's tables as `mcsim-sweep` prints them, followed by `table`.
+/// The grid's tables as `mcsim sweep` prints them, followed by `table`.
 fn grid_and(result: &SweepResult, table: &str) -> String {
     format!("{}\n{table}", fenced(&render_groups(result)))
 }

@@ -5,7 +5,7 @@
 //!    JSON/CSV artifacts *byte-identical* to an uninterrupted run, at any
 //!    `--jobs` value and under either isolation mode.
 //! 2. **Process isolation** — points run in supervised child
-//!    `mcsim-sweep --point <hash>` processes produce the same bytes as
+//!    `mcsim sweep --point <hash>` processes produce the same bytes as
 //!    in-process threads; a worker that aborts or wedges costs one cell
 //!    (with its attempt count recorded), never the sweep.
 //! 3. **Bounded transient retry** — a worker lost to an environmental
@@ -25,7 +25,7 @@ use proptest::prelude::*;
 
 /// The worker binary the supervisor spawns in these tests.
 fn worker_exe() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_mcsim-sweep"))
+    PathBuf::from(env!("CARGO_BIN_EXE_mcsim"))
 }
 
 /// A 4-point grid: small enough that every completed-subset (2^4) is
