@@ -90,6 +90,53 @@ impl Default for LatencyHistogram {
     }
 }
 
+/// The Fx multiply-rotate hash (rustc's, after Firefox): a few cycles
+/// per integer key where the std SipHash costs tens. The simulator's
+/// per-cycle maps are keyed by integers from its own deterministic state
+/// (tokens, transaction ids, line numbers, PCs), so they need no random
+/// seeding. It is not HashDoS-resistant: a program that crafts colliding
+/// line addresses can slow its own run, never change its result. Lives
+/// here because both `mem` and `proc` depend on this crate.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        // `HashMap` picks buckets from the low bits, which the multiply
+        // leaves zero for keys that are multiples of a power of two
+        // (strided line addresses); rotate the mixed high bits down.
+        self.hash.rotate_left(26)
+    }
+}
+
+/// A `HashMap` hashed with [`FxHasher`].
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
+
 /// One invariant of the machine's operational model. The checker reports
 /// the first cycle at which any of these fails to hold.
 ///
@@ -736,5 +783,22 @@ mod tests {
             ..GuardConfig::default()
         };
         assert_eq!(off.effective_period(true), None);
+    }
+
+    #[test]
+    fn fx_hash_is_seedless_and_width_consistent() {
+        use std::hash::{BuildHasher, Hasher};
+        let build = std::hash::BuildHasherDefault::<FxHasher>::default();
+        assert_eq!(build.hash_one(42u64), build.hash_one(42u64));
+        assert_ne!(build.hash_one(1u64), build.hash_one(2u64));
+        // Strided keys still spread over the low (bucket-index) bits.
+        let buckets: std::collections::BTreeSet<u64> =
+            (0..64u64).map(|k| build.hash_one(k << 20) & 63).collect();
+        assert!(buckets.len() > 16, "{} of 64 buckets", buckets.len());
+        let mut bytes = FxHasher::default();
+        bytes.write(&7u64.to_le_bytes());
+        let mut word = FxHasher::default();
+        word.write_u64(7);
+        assert_eq!(bytes.finish(), word.finish());
     }
 }

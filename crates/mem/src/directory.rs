@@ -24,8 +24,9 @@
 
 use crate::config::{DirFormat, OverflowPolicy};
 use crate::msg::{ProcId, TxnId};
+use mcsim_guard::FxHashMap;
 use mcsim_isa::{Addr, LineAddr, RmwKind};
-use std::collections::{btree_set, BTreeSet, HashMap, VecDeque};
+use std::collections::{btree_set, BTreeSet, VecDeque};
 
 /// What [`SharerSet::insert`] (and [`Directory::add_sharer`]) had to do
 /// to record the new sharer.
@@ -396,11 +397,11 @@ pub struct Directory {
     block_words: usize,
     block_bits: u32,
     format: DirFormat,
-    states: HashMap<u64, DirState>,
-    memory: HashMap<u64, Box<[u64]>>,
-    busy_until: HashMap<u64, u64>,
+    states: FxHashMap<u64, DirState>,
+    memory: FxHashMap<u64, Box<[u64]>>,
+    busy_until: FxHashMap<u64, u64>,
     pending: VecDeque<Request>,
-    waiters: HashMap<u64, VecDeque<Request>>,
+    waiters: FxHashMap<u64, VecDeque<Request>>,
 }
 
 impl Directory {
@@ -412,11 +413,11 @@ impl Directory {
             block_words: (1usize << block_bits) / 8,
             block_bits,
             format,
-            states: HashMap::new(),
-            memory: HashMap::new(),
-            busy_until: HashMap::new(),
+            states: FxHashMap::default(),
+            memory: FxHashMap::default(),
+            busy_until: FxHashMap::default(),
             pending: VecDeque::new(),
-            waiters: HashMap::new(),
+            waiters: FxHashMap::default(),
         }
     }
 

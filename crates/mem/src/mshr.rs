@@ -10,8 +10,8 @@
 //! transaction.
 
 use crate::msg::{DemandToken, TxnId};
+use mcsim_guard::FxHashMap;
 use mcsim_isa::{Addr, LineAddr, RmwKind};
-use std::collections::HashMap;
 
 /// A demand operation attached to an outstanding transaction, applied
 /// atomically when the fill arrives (grant and data use are one event, as
@@ -96,7 +96,7 @@ impl std::fmt::Display for MshrFault {
 #[derive(Debug, Clone, Default)]
 pub struct MshrFile {
     max: usize,
-    entries: HashMap<u64, Mshr>,
+    entries: FxHashMap<u64, Mshr>,
 }
 
 impl MshrFile {
@@ -106,7 +106,7 @@ impl MshrFile {
         assert!(max > 0, "need at least one MSHR");
         MshrFile {
             max,
-            entries: HashMap::with_capacity(max),
+            entries: FxHashMap::with_capacity_and_hasher(max, Default::default()),
         }
     }
 

@@ -46,11 +46,11 @@ use crate::msg::{
 };
 use crate::mshr::{Mshr, MshrFault, MshrFile, PendingOp};
 use crate::stats::MemStats;
-use mcsim_guard::{FaultKind, InvariantKind, SimError};
+use mcsim_guard::{FaultKind, FxHashMap, InvariantKind, SimError};
 use mcsim_isa::{Addr, LineAddr, RmwKind};
 use mcsim_trace::{TraceBuffer, TraceEvent, TraceKind};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Messages delivered to a processor-side cache controller.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,7 +146,7 @@ pub struct MemorySystem {
     /// like the cores' wake-ups. `sched` still carries the actions.
     wakeups: Vec<u64>,
     outbox: Vec<Vec<MemEvent>>,
-    bound_values: HashMap<DemandToken, u64>,
+    bound_values: FxHashMap<DemandToken, u64>,
     stats: MemStats,
     /// First protocol-contract failure detected this run (formerly panic
     /// sites). Polled by the machine loop via [`Self::take_fault`].
@@ -181,7 +181,7 @@ impl MemorySystem {
             sched: BinaryHeap::new(),
             wakeups: Vec::new(),
             outbox: vec![Vec::new(); nprocs],
-            bound_values: HashMap::new(),
+            bound_values: FxHashMap::default(),
             stats: MemStats::default(),
             next_txn: 0,
             next_seq: 0,
@@ -446,13 +446,16 @@ impl MemorySystem {
         }
     }
 
-    /// Drains the event stream for `proc` (completions + coherence
-    /// hazards, in delivery order).
-    pub fn drain_events(&mut self, proc: ProcId) -> Vec<MemEvent> {
+    /// Hands `proc`'s event stream (completions + coherence hazards, in
+    /// delivery order) to the caller by swapping it with `events`, which
+    /// is cleared first. The outbox keeps `events`' allocation, so a core
+    /// that hands back the same buffer every cycle never reallocates.
+    pub fn drain_events(&mut self, proc: ProcId, events: &mut Vec<MemEvent>) {
+        events.clear();
         if !self.outbox[proc].is_empty() {
             self.progress = true;
         }
-        std::mem::take(&mut self.outbox[proc])
+        std::mem::swap(&mut self.outbox[proc], events);
     }
 
     /// Consumes the value bound for a demand operation: the loaded word
@@ -1645,8 +1648,44 @@ mod tests {
     const A: Addr = Addr(0x1000);
     const B: Addr = Addr(0x2000);
 
+    impl MemorySystem {
+        /// The events drained for `proc`, in a fresh vector.
+        fn events(&mut self, proc: ProcId) -> Vec<MemEvent> {
+            let mut events = Vec::new();
+            self.drain_events(proc, &mut events);
+            events
+        }
+    }
+
     fn sys(nprocs: usize) -> MemorySystem {
         MemorySystem::new(MemConfig::paper(), nprocs)
+    }
+
+    #[test]
+    fn drain_events_swaps_and_never_recirculates_stale_events() {
+        let mut s = sys(1);
+        s.tick(0);
+        let IssueResult::Miss { .. } = s.issue_demand_read(0, A) else {
+            panic!("cold read misses")
+        };
+        let stale = MemEvent::Invalidated { line: s.line_of(B) };
+        let mut events = vec![stale];
+        s.drain_events(0, &mut events);
+        assert!(
+            events.is_empty(),
+            "nothing delivered yet; stale entry cleared"
+        );
+        let (_, delivered) = run_until_event(&mut s, 0, 200);
+        assert!(
+            matches!(delivered[..], [MemEvent::Done { .. }]),
+            "{delivered:?}"
+        );
+        events.push(stale);
+        s.drain_events(0, &mut events);
+        assert!(
+            events.is_empty(),
+            "the stale entry never reached the outbox"
+        );
     }
 
     /// Ticks until an event arrives for `proc` or `limit` cycles pass.
@@ -1654,7 +1693,7 @@ mod tests {
         let start = s.now();
         for c in start..=start + limit {
             s.tick(c);
-            let ev = s.drain_events(proc);
+            let ev = s.events(proc);
             if !ev.is_empty() {
                 return (c, ev);
             }
@@ -1830,7 +1869,7 @@ mod tests {
             }
         ));
         // Proc 1 saw the invalidation strictly before the grant.
-        let ev1 = s.drain_events(1);
+        let ev1 = s.events(1);
         assert_eq!(ev1, vec![MemEvent::Invalidated { line: s.line_of(A) }]);
         assert_eq!(s.read_coherent(A), 9);
     }
@@ -1861,7 +1900,7 @@ mod tests {
         ));
         assert_eq!(s.take_bound_value(token), Some(77), "flushed data visible");
         // Owner was downgraded and notified.
-        let ev0 = s.drain_events(0);
+        let ev0 = s.events(0);
         assert_eq!(ev0, vec![MemEvent::Invalidated { line: s.line_of(A) }]);
         assert_eq!(s.caches[0].state(s.line_of(A)), Some(LineState::Shared));
         assert_eq!(s.stats().flushes, 1);
@@ -1961,7 +2000,7 @@ mod tests {
         let (cycle, _) = run_until_event(&mut s, 0, 400);
         assert_eq!(cycle - t0, 198, "update write waits for remote acks");
         // Sharer's copy was refreshed in place, not invalidated.
-        let ev1 = s.drain_events(1);
+        let ev1 = s.events(1);
         assert_eq!(
             ev1,
             vec![MemEvent::Updated {
@@ -2025,7 +2064,7 @@ mod tests {
         for c in s.now() + 1..s.now() + 900 {
             s.tick(c);
             for p in 0..2 {
-                for e in s.drain_events(p) {
+                for e in s.events(p) {
                     if matches!(
                         e,
                         MemEvent::Done {
@@ -2055,7 +2094,7 @@ mod tests {
         let mut done_cycles = Vec::new();
         for c in 2..=200 {
             s.tick(c);
-            for e in s.drain_events(0) {
+            for e in s.events(0) {
                 if matches!(e, MemEvent::Done { .. }) {
                     done_cycles.push(c);
                 }
@@ -2075,7 +2114,7 @@ mod tests {
         for c in 1..=800 {
             s.tick(c);
             for p in 0..2 {
-                for e in s.drain_events(p) {
+                for e in s.events(p) {
                     if matches!(
                         e,
                         MemEvent::Done {
@@ -2232,8 +2271,8 @@ mod tests {
         let _ = s.issue_demand_write(0, B, 5);
         for c in 1..=400 {
             s.tick(c);
-            let _ = s.drain_events(0);
-            let _ = s.drain_events(1);
+            let _ = s.events(0);
+            let _ = s.events(1);
             s.check_invariants()
                 .unwrap_or_else(|e| panic!("cycle {c}: {e}"));
         }
@@ -2242,8 +2281,8 @@ mod tests {
         let _ = s.issue_demand_write(1, A, 20);
         for c in 401..=1200 {
             s.tick(c);
-            let _ = s.drain_events(0);
-            let _ = s.drain_events(1);
+            let _ = s.events(0);
+            let _ = s.events(1);
             s.check_invariants()
                 .unwrap_or_else(|e| panic!("cycle {c}: {e}"));
         }
@@ -2316,7 +2355,7 @@ mod tests {
         for c in 1..=400 {
             s.tick(c);
             s.check_invariants().unwrap();
-            assert!(s.drain_events(0).is_empty(), "fill must never arrive");
+            assert!(s.events(0).is_empty(), "fill must never arrive");
         }
         assert!(s.fault_fired());
         assert_eq!(s.in_flight(), 0, "network silent");
@@ -2382,12 +2421,12 @@ mod tests {
         let mut grant_at = None;
         for c in s.now() + 1..s.now() + 400 {
             s.tick(c);
-            for e in s.drain_events(1) {
+            for e in s.events(1) {
                 if matches!(e, MemEvent::Invalidated { .. }) {
                     inval_at = Some(c);
                 }
             }
-            for e in s.drain_events(0) {
+            for e in s.events(0) {
                 if matches!(
                     e,
                     MemEvent::Done {

@@ -7,8 +7,8 @@
 //! hint use a per-PC 2-bit saturating counter, primed by the static
 //! backward-taken / forward-not-taken heuristic.
 
+use mcsim_guard::FxHashMap;
 use mcsim_isa::BranchHint;
-use std::collections::HashMap;
 
 /// 2-bit saturating counter states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +40,7 @@ impl Counter {
 /// The branch predictor attached to one core's instruction fetch.
 #[derive(Debug, Default)]
 pub struct Predictor {
-    table: HashMap<u32, Counter>,
+    table: FxHashMap<u32, Counter>,
     predictions: u64,
     mispredictions: u64,
 }

@@ -48,7 +48,7 @@ use crate::specbuf::{SpecEntry, SpeculativeLoadBuffer};
 use crate::stats::ProcStats;
 use crate::storebuf::{ForwardResult, SbEntry, SbState, StoreBuffer};
 use mcsim_consistency::{AccessClass, Model, Outstanding};
-use mcsim_guard::{InvariantKind, SimError, StalledProc};
+use mcsim_guard::{FxHashMap, InvariantKind, SimError, StalledProc};
 use mcsim_isa::reg::RegFile;
 use mcsim_isa::{Addr, Instr, LineAddr, Program, RmwKind};
 use mcsim_mem::config::Protocol;
@@ -57,7 +57,7 @@ use mcsim_mem::{
     DemandToken, IssueResult, MemEvent, MemorySystem, PrefetchResult, ProbeResult, TxnId,
 };
 use mcsim_trace::{BufferKind, IssueOutcome, TraceBuffer, TraceEvent, TraceKind};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Cycles between a squash and the first refetched instruction entering
 /// the reorder buffer.
@@ -119,6 +119,21 @@ enum StallBucket {
     Fetch,
 }
 
+/// Per-tick lists, kept across ticks so a busy core does not allocate
+/// (DESIGN.md, "Hot-path rules"). A stage takes one out, clears and
+/// fills it, and puts it back; contents never outlive the stage.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Hit completions due this cycle (drain stage).
+    due: Vec<HitCompletion>,
+    /// Memory events handed over by [`MemorySystem::drain_events`].
+    events: Vec<MemEvent>,
+    /// Sequence numbers to visit: issuable stores, then waiting loads.
+    seqs: Vec<Seq>,
+    /// Prefetch candidates `(seq, addr, exclusive)`.
+    prefetches: Vec<(Seq, Addr, bool)>,
+}
+
 /// One out-of-order processor.
 #[derive(Debug)]
 pub struct Processor {
@@ -137,9 +152,9 @@ pub struct Processor {
     halted: bool,
     addr_queue: VecDeque<Seq>,
     load_queue: VecDeque<LoadReq>,
-    awaiting: HashMap<DemandToken, Seq>,
-    txn_tokens: HashMap<TxnId, Vec<DemandToken>>,
-    sb_txn: HashMap<TxnId, Vec<(Seq, Option<DemandToken>)>>,
+    awaiting: FxHashMap<DemandToken, Seq>,
+    txn_tokens: FxHashMap<TxnId, Vec<DemandToken>>,
+    sb_txn: FxHashMap<TxnId, Vec<(Seq, Option<DemandToken>)>>,
     hit_completions: Vec<(u64, HitCompletion)>,
     forward_waiters: Vec<(Seq, Seq)>, // (store, load)
     /// Software prefetch hints awaiting a free port cycle (§6).
@@ -185,6 +200,7 @@ pub struct Processor {
     /// of `exec_queue` ([`Self::drop_next_enqueue_for_test`]).
     drop_next_enqueue: bool,
     stats: ProcStats,
+    scratch: Scratch,
     /// Event sink; `None` (the default) makes recording a single branch.
     tracer: Option<TraceBuffer>,
     /// First structured fault hit by this core (pipeline-bookkeeping
@@ -210,9 +226,9 @@ impl Processor {
             halted: false,
             addr_queue: VecDeque::new(),
             load_queue: VecDeque::new(),
-            awaiting: HashMap::new(),
-            txn_tokens: HashMap::new(),
-            sb_txn: HashMap::new(),
+            awaiting: FxHashMap::default(),
+            txn_tokens: FxHashMap::default(),
+            sb_txn: FxHashMap::default(),
             hit_completions: Vec::new(),
             forward_waiters: Vec::new(),
             sw_prefetches: VecDeque::new(),
@@ -225,6 +241,7 @@ impl Processor {
             last_stalled: false,
             drop_next_enqueue: false,
             stats: ProcStats::default(),
+            scratch: Scratch::default(),
             tracer: None,
             fault: None,
             cfg,
@@ -645,33 +662,32 @@ impl Processor {
     fn stage_drain(&mut self, now: u64, mem: &mut MemorySystem) {
         // Local hit completions first: a value bound by a hit counts as
         // consumed before any hazard arriving this cycle (conservative).
-        let due: Vec<HitCompletion> = {
-            let mut due = Vec::new();
-            self.hit_completions.retain(|(at, hc)| {
-                if *at <= now {
-                    due.push(*hc);
-                    false
-                } else {
-                    true
-                }
-            });
-            due
-        };
+        let mut due = std::mem::take(&mut self.scratch.due);
+        self.hit_completions.retain(|(at, hc)| {
+            if *at <= now {
+                due.push(*hc);
+                false
+            } else {
+                true
+            }
+        });
         if !due.is_empty() {
             self.progress = true;
         }
-        for hc in due {
+        for hc in due.drain(..) {
             match hc {
                 HitCompletion::Load { seq, value } => self.complete_load(now, seq, value),
                 HitCompletion::Store { seq, rmw_old } => self.complete_store(now, seq, rmw_old),
             }
         }
+        self.scratch.due = due;
 
-        let events = mem.drain_events(self.id);
+        let mut events = std::mem::take(&mut self.scratch.events);
+        mem.drain_events(self.id, &mut events);
         if !events.is_empty() {
             self.progress = true;
         }
-        for ev in events {
+        for ev in events.drain(..) {
             match ev {
                 MemEvent::Done { txn, .. } => {
                     if let Some(entries) = self.sb_txn.remove(&txn) {
@@ -710,6 +726,7 @@ impl Processor {
                 }
             }
         }
+        self.scratch.events = events;
     }
 
     /// Detection + correction (§4.2): match the hazard against the
@@ -816,8 +833,7 @@ impl Processor {
                 self.emit(now, seq, TraceKind::BufferExit { buffer, addr });
             }
         }
-        let removed = self.rob.squash_from(from);
-        let n = removed.len();
+        let n = self.rob.squash_from(from);
         if spec {
             self.stats.squashed_by_spec += n as u64;
         } else {
@@ -959,7 +975,7 @@ impl Processor {
     // ------------------------------------------------------------------
 
     fn stage_spec_retire(&mut self, now: u64) {
-        for seq in self.specbuf.retire_ready() {
+        while let Some(seq) = self.specbuf.retire_head() {
             self.progress = true;
             if let Some(e) = self.rob.entry_mut(seq) {
                 e.speculative = false;
@@ -1448,7 +1464,9 @@ impl Processor {
     // ------------------------------------------------------------------
 
     fn stage_store_issue(&mut self, now: u64, mem: &mut MemorySystem) {
-        for seq in self.sb.issuable(self.model) {
+        let mut issuable = std::mem::take(&mut self.scratch.seqs);
+        self.sb.issuable(self.model, &mut issuable);
+        for &seq in &issuable {
             let e = self.sb.get(seq).expect("issuable entry exists");
             let (addr, value, rmw) = (e.addr, e.value, e.rmw);
             let line = mem.line_of(addr);
@@ -1523,6 +1541,7 @@ impl Processor {
                 }
             }
         }
+        self.scratch.seqs = issuable;
     }
 
     // ------------------------------------------------------------------
@@ -1531,13 +1550,15 @@ impl Processor {
 
     fn stage_load_issue(&mut self, now: u64, mem: &mut MemorySystem) {
         let speculative = self.cfg.techniques.speculative_loads;
-        let waiting: Vec<Seq> = self
-            .load_queue
-            .iter()
-            .filter(|r| matches!(r.state, LoadState::Waiting))
-            .map(|r| r.seq)
-            .collect();
-        for seq in waiting {
+        let mut waiting = std::mem::take(&mut self.scratch.seqs);
+        waiting.clear();
+        waiting.extend(
+            self.load_queue
+                .iter()
+                .filter(|r| matches!(r.state, LoadState::Waiting))
+                .map(|r| r.seq),
+        );
+        for &seq in &waiting {
             let Some(req) = self.load_queue.iter().find(|r| r.seq == seq) else {
                 continue;
             };
@@ -1648,6 +1669,7 @@ impl Processor {
                 }
             }
         }
+        self.scratch.seqs = waiting;
     }
 
     /// Completes a load via store-to-load forwarding: the value is this
@@ -1754,12 +1776,8 @@ impl Processor {
         // Candidates: consistency-delayed store-buffer entries
         // (read-exclusive) and — in conventional mode — delayed loads
         // (read; read-exclusive for RMWs). Oldest first.
-        let mut cands: Vec<(Seq, Addr, bool)> = self
-            .sb
-            .prefetch_candidates(self.model)
-            .into_iter()
-            .map(|(s, a)| (s, a, true))
-            .collect();
+        let mut cands = std::mem::take(&mut self.scratch.prefetches);
+        self.sb.prefetch_candidates(self.model, &mut cands);
         if !self.cfg.techniques.speculative_loads {
             for r in &self.load_queue {
                 if matches!(r.state, LoadState::Waiting)
@@ -1772,7 +1790,7 @@ impl Processor {
             }
         }
         cands.sort_unstable_by_key(|(s, _, _)| *s);
-        for (seq, addr, exclusive) in cands {
+        for &(seq, addr, exclusive) in &cands {
             self.stats.prefetch_requests += 1;
             self.progress = true;
             match mem.issue_prefetch(self.id, addr, exclusive) {
@@ -1793,6 +1811,7 @@ impl Processor {
                 PrefetchResult::NoResource => break, // retry next cycle
             }
         }
+        self.scratch.prefetches = cands;
     }
 
     fn mark_prefetch_sent(&mut self, seq: Seq) {

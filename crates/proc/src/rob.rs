@@ -225,8 +225,25 @@ impl Rob {
     }
 
     fn index_of(&self, seq: Seq) -> Option<usize> {
-        // Sequence numbers are strictly increasing but not contiguous
-        // after a squash+refetch, so binary-search by seq.
+        // Sequence numbers strictly increase, and a gap opens only where a
+        // squash was refetched. So the entry usually sits at its offset
+        // from the head (no gap before it) or from the tail (no gap after
+        // it); binary-search only when both probes miss.
+        let head = self.entries.front()?.seq;
+        let tail = self.entries.back()?.seq;
+        if seq < head || seq > tail {
+            return None;
+        }
+        let from_head = (seq - head) as usize;
+        if self.entries.get(from_head).is_some_and(|e| e.seq == seq) {
+            return Some(from_head);
+        }
+        let from_tail = (tail - seq) as usize;
+        if let Some(i) = (self.entries.len() - 1).checked_sub(from_tail) {
+            if self.entries[i].seq == seq {
+                return Some(i);
+            }
+        }
         self.entries.binary_search_by_key(&seq, |e| e.seq).ok()
     }
 
@@ -310,16 +327,12 @@ impl Rob {
     }
 
     /// Squashes every entry with `seq >= from` (inclusive), rebuilding the
-    /// rename table from the survivors. Returns the removed entries
-    /// (oldest first) so the core can clean up its own structures.
-    pub fn squash_from(&mut self, from: Seq) -> Vec<RobEntry> {
-        let mut removed = Vec::new();
-        while self.entries.back().is_some_and(|e| e.seq >= from) {
-            if let Some(e) = self.entries.pop_back() {
-                removed.push(e);
-            }
-        }
-        removed.reverse();
+    /// rename table from the survivors. Returns how many entries it
+    /// removed.
+    pub fn squash_from(&mut self, from: Seq) -> usize {
+        let keep = self.entries.partition_point(|e| e.seq < from);
+        let removed = self.entries.len() - keep;
+        self.entries.truncate(keep);
         self.woken.retain(|&s| s < from);
         // Rebuild rename: youngest surviving producer per register.
         self.rename = [None; NUM_REGS];
@@ -418,11 +431,8 @@ mod tests {
         let s0 = rob.push(0, load(R1, 0x10)).unwrap();
         let s1 = rob.push(1, load(R2, 0x20)).unwrap();
         let s2 = rob.push(2, load(R1, 0x30)).unwrap();
-        let removed = rob.squash_from(s1);
-        assert_eq!(
-            removed.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![s1, s2]
-        );
+        assert_eq!(rob.squash_from(s1), 2);
+        assert!(rob.entry(s2).is_none());
         // R1 renames to the surviving s0, R2 back to the regfile.
         assert_eq!(rob.read_reg(R1), Src::Waiting(s0));
         assert_eq!(rob.read_reg(R2), Src::Ready(0));
@@ -448,12 +458,80 @@ mod tests {
         assert_eq!(rob.entry(s3).unwrap().value, Some(5));
     }
 
+    #[derive(Debug, Clone)]
+    enum Op {
+        Push,
+        SetValue(usize, u64),
+        PopHead,
+        Squash(usize),
+    }
+
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(Op::Push),
+            Just(Op::Push),
+            (any::<usize>(), any::<u64>()).prop_map(|(i, v)| Op::SetValue(i, v)),
+            Just(Op::PopHead),
+            any::<usize>().prop_map(Op::Squash),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// `entry(seq)` agrees with a linear scan of a reference list of
+        /// live `(seq, value)` pairs after every step, for every seq ever
+        /// allocated (retired and squashed ones included) and one beyond.
+        #[test]
+        fn lookup_matches_linear_scan(ops in proptest::collection::vec(op(), 0..160)) {
+            let mut rob = Rob::new(16);
+            let mut live: Vec<(Seq, Option<u64>)> = Vec::new();
+            for op in ops {
+                let next = rob.next_seq();
+                match op {
+                    Op::Push => {
+                        let pushed = rob.push(0, load(R1, 0x10));
+                        proptest::prop_assert_eq!(pushed.is_some(), live.len() < 16);
+                        if let Some(seq) = pushed {
+                            live.push((seq, None));
+                        }
+                    }
+                    Op::SetValue(i, v) => {
+                        // Any seq ever allocated (retired, squashed or live).
+                        let seq = (i as u64) % (next + 1);
+                        rob.set_value(seq, v);
+                        if let Some(e) = live.iter_mut().find(|e| e.0 == seq) {
+                            e.1 = Some(v);
+                        }
+                    }
+                    Op::PopHead => {
+                        let popped = rob.pop_head().map(|e| e.seq);
+                        let expected = (!live.is_empty()).then(|| live.remove(0).0);
+                        proptest::prop_assert_eq!(popped, expected);
+                    }
+                    Op::Squash(i) => {
+                        // A live seq (opening a gap once refetched) or the
+                        // next one (a no-op squash).
+                        let from = live.get(i % (live.len() + 1)).map_or(next, |e| e.0);
+                        let before = live.len();
+                        live.retain(|e| e.0 < from);
+                        proptest::prop_assert_eq!(rob.squash_from(from), before - live.len());
+                    }
+                }
+                for seq in 0..=rob.next_seq() {
+                    let expected = live.iter().find(|e| e.0 == seq).map(|e| e.1);
+                    proptest::prop_assert_eq!(rob.entry(seq).map(|e| e.value), expected);
+                }
+            }
+        }
+    }
+
     #[test]
     fn squash_from_future_is_noop() {
         let mut rob = Rob::new(4);
         let _ = rob.push(0, Instr::Nop);
-        let removed = rob.squash_from(100);
-        assert!(removed.is_empty());
+        assert_eq!(rob.squash_from(100), 0);
         assert_eq!(rob.len(), 1);
     }
 

@@ -158,20 +158,19 @@ impl SpeculativeLoadBuffer {
         }
     }
 
-    /// Retires every ready entry at the head (FIFO): store tag null, and
-    /// done if acq. Returns the retired sequence numbers, oldest first.
-    pub fn retire_ready(&mut self) -> Vec<Seq> {
-        let mut out = Vec::new();
-        while self
+    /// Retires the head entry if it is ready (FIFO): store tag null, and
+    /// done if acq. Returns its sequence number; call until `None` to
+    /// retire every ready entry, oldest first.
+    pub fn retire_head(&mut self) -> Option<Seq> {
+        if self
             .entries
             .front()
             .is_some_and(|h| h.store_tag.is_none() && (!h.acq || h.done))
         {
-            if let Some(e) = self.entries.pop_front() {
-                out.push(e.seq);
-            }
+            self.entries.pop_front().map(|e| e.seq)
+        } else {
+            None
         }
-        out
     }
 
     /// The detection mechanism: associatively matches a coherence hazard
@@ -270,9 +269,11 @@ mod tests {
         let mut b = SpeculativeLoadBuffer::new();
         b.push(entry(1, 10, true, None)); // acq, not done -> blocks
         b.push(entry(2, 11, false, None)); // ready but behind
-        assert!(b.retire_ready().is_empty());
+        assert_eq!(b.retire_head(), None);
         b.mark_done(1);
-        assert_eq!(b.retire_ready(), vec![1, 2]);
+        assert_eq!(b.retire_head(), Some(1));
+        assert_eq!(b.retire_head(), Some(2));
+        assert_eq!(b.retire_head(), None);
         assert!(b.is_empty());
     }
 
@@ -280,10 +281,10 @@ mod tests {
     fn store_tag_blocks_retirement() {
         let mut b = SpeculativeLoadBuffer::new();
         b.push(entry(1, 10, false, Some(7)));
-        assert!(b.retire_ready().is_empty());
+        assert_eq!(b.retire_head(), None);
         // Store 7 completes; no further constraining store.
         b.store_completed(7, |_, _| None);
-        assert_eq!(b.retire_ready(), vec![1]);
+        assert_eq!(b.retire_head(), Some(1));
     }
 
     #[test]
@@ -292,7 +293,7 @@ mod tests {
         b.push(entry(1, 10, false, Some(7)));
         b.store_completed(7, |_, _| Some(5));
         assert_eq!(b.get(1).unwrap().store_tag, Some(5));
-        assert!(b.retire_ready().is_empty());
+        assert_eq!(b.retire_head(), None);
     }
 
     #[test]

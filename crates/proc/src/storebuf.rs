@@ -144,37 +144,40 @@ impl StoreBuffer {
             .any(|j| model.must_delay(j.class, me.class))
     }
 
-    /// Sequence numbers of entries eligible to issue this cycle, oldest
-    /// first: released, still waiting, and not blocked by an earlier
-    /// entry's delay arc.
-    #[must_use]
-    pub fn issuable(&self, model: Model) -> Vec<Seq> {
-        self.entries
-            .iter()
-            .filter(|e| {
-                e.rob_released
-                    && matches!(e.state, SbState::Waiting)
-                    && !self.blocked_by_earlier(model, e)
-            })
-            .map(|e| e.seq)
-            .collect()
+    /// Fills `out` with the sequence numbers of entries eligible to issue
+    /// this cycle, oldest first: released, still waiting, and not blocked
+    /// by an earlier entry's delay arc.
+    pub fn issuable(&self, model: Model, out: &mut Vec<Seq>) {
+        out.clear();
+        out.extend(
+            self.entries
+                .iter()
+                .filter(|e| {
+                    e.rob_released
+                        && matches!(e.state, SbState::Waiting)
+                        && !self.blocked_by_earlier(model, e)
+                })
+                .map(|e| e.seq),
+        );
     }
 
-    /// Entries that are *delayed* (waiting but not issuable) and have not
-    /// been prefetched — the prefetch unit's candidates (§3.2: prefetches
-    /// are generated for accesses "delayed due to consistency
-    /// constraints").
-    #[must_use]
-    pub fn prefetch_candidates(&self, model: Model) -> Vec<(Seq, Addr)> {
-        self.entries
-            .iter()
-            .filter(|e| {
-                matches!(e.state, SbState::Waiting)
-                    && !e.prefetch_sent
-                    && (!e.rob_released || self.blocked_by_earlier(model, e))
-            })
-            .map(|e| (e.seq, e.addr))
-            .collect()
+    /// Fills `out` with the entries that are *delayed* (waiting but not
+    /// issuable) and have not been prefetched, as read-exclusive prefetch
+    /// requests `(seq, addr, true)`, oldest first — the prefetch unit's
+    /// candidates (§3.2: prefetches are generated for accesses "delayed
+    /// due to consistency constraints").
+    pub fn prefetch_candidates(&self, model: Model, out: &mut Vec<(Seq, Addr, bool)>) {
+        out.clear();
+        out.extend(
+            self.entries
+                .iter()
+                .filter(|e| {
+                    matches!(e.state, SbState::Waiting)
+                        && !e.prefetch_sent
+                        && (!e.rob_released || self.blocked_by_earlier(model, e))
+                })
+                .map(|e| (e.seq, e.addr, true)),
+        );
     }
 
     /// Removes a completed entry, returning it (the spec buffer nullifies
@@ -263,6 +266,18 @@ mod tests {
         }
     }
 
+    fn issuable(sb: &StoreBuffer, model: Model) -> Vec<Seq> {
+        let mut out = vec![99]; // stale contents are cleared
+        sb.issuable(model, &mut out);
+        out
+    }
+
+    fn candidates(sb: &StoreBuffer, model: Model) -> Vec<(Seq, Addr, bool)> {
+        let mut out = Vec::new();
+        sb.prefetch_candidates(model, &mut out);
+        out
+    }
+
     #[test]
     fn sc_serializes_stores() {
         let mut sb = StoreBuffer::new();
@@ -270,9 +285,9 @@ mod tests {
         sb.push(entry(2, AccessClass::STORE, 0x200));
         sb.mark_released(1);
         sb.mark_released(2);
-        assert_eq!(sb.issuable(Model::Sc), vec![1], "only the oldest store");
+        assert_eq!(issuable(&sb, Model::Sc), vec![1], "only the oldest store");
         sb.complete(1);
-        assert_eq!(sb.issuable(Model::Sc), vec![2]);
+        assert_eq!(issuable(&sb, Model::Sc), vec![2]);
     }
 
     #[test]
@@ -285,22 +300,22 @@ mod tests {
         sb.mark_released(2);
         sb.mark_released(3);
         assert_eq!(
-            sb.issuable(Model::Rc),
+            issuable(&sb, Model::Rc),
             vec![1, 2],
             "ordinary stores pipeline; the release waits"
         );
         sb.complete(1);
         sb.complete(2);
-        assert_eq!(sb.issuable(Model::Rc), vec![3]);
+        assert_eq!(issuable(&sb, Model::Rc), vec![3]);
     }
 
     #[test]
     fn unreleased_entries_never_issue() {
         let mut sb = StoreBuffer::new();
         sb.push(entry(1, AccessClass::STORE, 0x100));
-        assert!(sb.issuable(Model::Rc).is_empty());
+        assert!(issuable(&sb, Model::Rc).is_empty());
         sb.mark_released(1);
-        assert_eq!(sb.issuable(Model::Rc), vec![1]);
+        assert_eq!(issuable(&sb, Model::Rc), vec![1]);
     }
 
     #[test]
@@ -311,18 +326,18 @@ mod tests {
         sb.mark_released(1);
         // Under SC, entry 1 is issuable (not a candidate); entry 2 is
         // delayed behind it.
-        let cands = sb.prefetch_candidates(Model::Sc);
-        assert_eq!(cands, vec![(2, Addr(0x200))]);
+        let cands = candidates(&sb, Model::Sc);
+        assert_eq!(cands, vec![(2, Addr(0x200), true)]);
         // Marking prefetch_sent removes it.
         sb.get_mut(2).unwrap().prefetch_sent = true;
-        assert!(sb.prefetch_candidates(Model::Sc).is_empty());
+        assert!(candidates(&sb, Model::Sc).is_empty());
     }
 
     #[test]
     fn unreleased_entry_is_prefetch_candidate() {
         let mut sb = StoreBuffer::new();
         sb.push(entry(1, AccessClass::STORE, 0x100));
-        assert_eq!(sb.prefetch_candidates(Model::Rc), vec![(1, Addr(0x100))]);
+        assert_eq!(candidates(&sb, Model::Rc), vec![(1, Addr(0x100), true)]);
     }
 
     #[test]

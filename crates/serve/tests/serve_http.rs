@@ -197,6 +197,14 @@ fn admission_and_error_paths() {
     let (status, body) = post(addr, "/sweeps", "{\"builtin\": \"no-such-grid\"}");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("unknown builtin"), "{body}");
+    // A machine value no point could be built with is refused up front,
+    // not run as a grid of panicking cells.
+    let mut odd_miss = grid_spec();
+    odd_miss.machine.miss_latency = vec![5];
+    let body = serde_json::to_string(&odd_miss).expect("serializes");
+    let (status, body) = post(addr, "/sweeps", &body);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("machine.miss_latency"), "{body}");
     let (status, _) = get(addr, "/nowhere");
     assert_eq!(status, 404);
     let (status, body) = get(addr, &format!("/sweeps/{id}/results"));

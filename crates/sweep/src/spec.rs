@@ -27,9 +27,9 @@ pub enum Window {
     Ideal,
     /// Finite reorder buffer and fetch width.
     Finite {
-        /// Reorder-buffer capacity.
+        /// Reorder-buffer capacity (at least 2).
         rob: usize,
-        /// Instructions fetched per cycle.
+        /// Instructions fetched per cycle (at least 1).
         fetch: usize,
     },
 }
@@ -374,7 +374,8 @@ impl SweepSpec {
         }
     }
 
-    /// Checks the spec describes a non-empty, well-formed grid.
+    /// Checks the spec describes a non-empty, well-formed grid whose
+    /// machine parameters every point can be built with.
     ///
     /// Parameter values that only fail *inside* a run (e.g. a workload
     /// with zero locks) are deliberately not rejected here: the executor
@@ -382,7 +383,7 @@ impl SweepSpec {
     /// alive.
     ///
     /// # Errors
-    /// A human-readable message naming the empty axis.
+    /// A human-readable message naming the empty or out-of-range axis.
     pub fn validate(&self) -> Result<(), String> {
         for (axis, empty) in [
             ("models", self.models.is_empty()),
@@ -396,6 +397,30 @@ impl SweepSpec {
             if empty {
                 return Err(format!("sweep '{}': axis '{axis}' is empty", self.name));
             }
+        }
+        if let Some(m) = self
+            .machine
+            .miss_latency
+            .iter()
+            .find(|&&m| m < 4 || m % 2 == 1)
+        {
+            return Err(format!(
+                "sweep '{}': axis 'machine.miss_latency' holds {m}; \
+                 each latency must be even and at least 4",
+                self.name
+            ));
+        }
+        if let Some(w) = self
+            .machine
+            .window
+            .iter()
+            .find(|w| matches!(w, Window::Finite { rob, fetch } if *rob < 2 || *fetch == 0))
+        {
+            return Err(format!(
+                "sweep '{}': axis 'machine.window' holds {w}; \
+                 a finite window needs rob >= 2 and fetch >= 1",
+                self.name
+            ));
         }
         if self.max_cycles == 0 {
             return Err(format!("sweep '{}': max_cycles is zero", self.name));
@@ -595,6 +620,32 @@ mod tests {
         spec.workloads.clear();
         assert!(spec.validate().unwrap_err().contains("workloads"));
         assert!(tiny_spec().validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_unbuildable_machine_values() {
+        for miss in [0, 2, 5, 101] {
+            let mut spec = tiny_spec();
+            spec.machine.miss_latency = vec![100, miss];
+            let err = spec.validate().unwrap_err();
+            assert!(
+                err.contains("machine.miss_latency") && err.contains(&miss.to_string()),
+                "{err}"
+            );
+        }
+        for (rob, fetch) in [(1, 4), (0, 4), (8, 0)] {
+            let mut spec = tiny_spec();
+            spec.machine.window = vec![Window::Ideal, Window::Finite { rob, fetch }];
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains("machine.window"), "{err}");
+        }
+        let mut spec = tiny_spec();
+        spec.machine.miss_latency = vec![4];
+        spec.machine.window = vec![Window::Finite { rob: 2, fetch: 1 }];
+        assert!(
+            spec.validate().is_ok(),
+            "the smallest buildable values pass"
+        );
     }
 
     #[test]

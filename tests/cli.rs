@@ -1,6 +1,7 @@
 //! The `mcsim` binary end to end: the sweep command writes the library's
-//! bytes, every subcommand's `--help` succeeds, and malformed flags are
-//! usage errors (exit 1, naming the flag) rather than panics.
+//! bytes, every subcommand's `--help` succeeds, and malformed flags and
+//! specs are usage errors (exit 1, naming the flag or axis) rather than
+//! panics.
 
 use std::process::{Command, Output};
 
@@ -97,4 +98,21 @@ fn out_of_range_machine_flags_are_usage_errors_not_panics() {
         assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
         assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
     }
+}
+
+#[test]
+fn sweep_specs_with_unbuildable_machine_values_are_refused() {
+    let out = mcsim(&["sweep", "--builtin", "e20-smoke", "--print-spec"]);
+    assert!(out.status.success(), "{out:?}");
+    let mut spec: mcsim_sweep::SweepSpec =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("printed spec parses");
+    spec.machine.miss_latency = vec![5];
+    let path = tmp("odd-miss.spec.json");
+    std::fs::write(&path, serde_json::to_string(&spec).unwrap()).unwrap();
+    let out = mcsim(&["sweep", "--spec", &path, "--quiet"]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("machine.miss_latency"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
