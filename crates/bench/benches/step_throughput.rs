@@ -14,6 +14,11 @@
 //!                                      # or a change in jumped cycles
 //! ```
 //!
+//! A relative `OUT` or `BASELINE` is relative to the workspace root, so
+//! `cargo bench -p mcsim-bench --bench step_throughput -- --write-baseline
+//! BENCH_step_throughput.json` rewrites the checked-in root file even
+//! though cargo runs bench binaries from the package directory.
+//!
 //! The three classes bracket the design space, and the two latency-bound
 //! ones are length-normalized (~50k simulated cycles each) so their
 //! medians and cycle rates are comparable:
@@ -39,6 +44,7 @@
 //! `skipped_cycles` count: deterministic, and it moves the moment the
 //! engine stops jumping a cycle it used to.
 
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use mcsim_consistency::Model;
@@ -244,21 +250,19 @@ fn render(results: &[ClassResult]) {
     }
 }
 
-fn check(results: &[ClassResult], baseline_path: &str) -> Result<(), String> {
-    // Cargo runs bench binaries from the package directory; accept paths
-    // relative to the workspace root too so `cargo bench -p mcsim-bench`
-    // can name the checked-in baseline directly.
-    let mut path = std::path::PathBuf::from(baseline_path);
-    if !path.exists() {
-        let from_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(baseline_path);
-        if from_root.exists() {
-            path = from_root;
-        }
-    }
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
+/// Resolves a path flag: relative paths are relative to the workspace
+/// root, absolute ones stay as they are.
+fn from_workspace_root(path: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+        .join(path)
+}
+
+fn check(results: &[ClassResult], baseline_path: &Path) -> Result<(), String> {
+    let text = std::fs::read_to_string(baseline_path)
+        .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
     let baseline: Vec<ClassResult> =
         serde_json::from_str(&text).map_err(|e| format!("invalid baseline: {e}"))?;
     let mut problems = Vec::new();
@@ -293,7 +297,7 @@ fn check(results: &[ClassResult], baseline_path: &str) -> Result<(), String> {
         }
     }
     if problems.is_empty() {
-        println!("perf check passed against {baseline_path}");
+        println!("perf check passed against {}", baseline_path.display());
         Ok(())
     } else {
         Err(format!("perf check failed:\n  {}", problems.join("\n  ")))
@@ -309,8 +313,8 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" | "--write-baseline" => json_out = it.next().cloned(),
-            "--check" => check_against = it.next().cloned(),
+            "--json" | "--write-baseline" => json_out = it.next().map(|p| from_workspace_root(p)),
+            "--check" => check_against = it.next().map(|p| from_workspace_root(p)),
             _ => {}
         }
     }
@@ -320,8 +324,9 @@ fn main() {
 
     if let Some(path) = json_out {
         let text = serde_json::to_string_pretty(&results).expect("results serialize");
-        std::fs::write(&path, text + "\n").unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("wrote {path}");
+        std::fs::write(&path, text + "\n")
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        println!("wrote {}", path.display());
     }
     if let Some(path) = check_against {
         if let Err(msg) = check(&results, &path) {

@@ -158,18 +158,22 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Writes a complete fixed-length response.
 ///
+/// Head and body go out in one `write_all`: on an unbuffered socket,
+/// `write!` issues a syscall (and a TCP segment) per formatted piece.
+///
 /// # Errors
 /// Propagates I/O errors from the underlying stream.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
-    write!(
-        w,
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
         resp.body.len()
-    )?;
-    w.write_all(&resp.body)?;
+    )
+    .into_bytes();
+    out.extend_from_slice(&resp.body);
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -180,15 +184,15 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
 /// # Errors
 /// Propagates I/O errors from the underlying stream.
 pub fn write_chunked_head<W: Write>(w: &mut W, content_type: &str) -> io::Result<()> {
-    write!(
-        w,
+    let head = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
-    )?;
+    );
+    w.write_all(head.as_bytes())?;
     w.flush()
 }
 
-/// Writes one chunk; empty data is skipped (an empty chunk would
-/// terminate the stream).
+/// Writes one chunk in one `write_all`; empty data is skipped (an empty
+/// chunk would terminate the stream).
 ///
 /// # Errors
 /// Propagates I/O errors from the underlying stream.
@@ -196,9 +200,10 @@ pub fn write_chunk<W: Write>(w: &mut W, data: &[u8]) -> io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(w, "{:x}\r\n", data.len())?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")?;
+    let mut out = format!("{:x}\r\n", data.len()).into_bytes();
+    out.extend_from_slice(data);
+    out.extend_from_slice(b"\r\n");
+    w.write_all(&out)?;
     w.flush()
 }
 

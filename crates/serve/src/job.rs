@@ -16,11 +16,15 @@
 //! Worker threads pull job ids from a condvar-guarded queue; each job
 //! runs through [`mcsim_sweep::run_sweep_with`] with an observer that
 //! mirrors live progress (and per-[`FailureClass`] failure counts) into
-//! the registry for the status endpoint.
+//! the registry for the status endpoint. Every journal append, job
+//! finish and drain also bumps an event count and wakes a second
+//! condvar, which `?follow=1` journal streams block on instead of
+//! re-reading the file on a timer.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 use mcsim_guard::FailureClass;
@@ -168,13 +172,22 @@ struct RegistryState {
     next_seq: u32,
     draining: bool,
     running: usize,
+    /// Journal appends, job finishes and drains so far; journal
+    /// followers wait for it to move.
+    events: u64,
 }
 
 /// The shared job table: admission, the worker queue, live progress,
 /// and the durable on-disk layout.
 pub struct Registry {
     state: Mutex<RegistryState>,
+    /// Wakes workers: a job was queued, or the registry is draining.
     wake: Condvar,
+    /// Wakes journal followers: `RegistryState::events` moved.
+    progress: Condvar,
+    /// The listener [`Registry::drain`] connects to, so a server
+    /// blocked in `accept` wakes and sees the drain.
+    listener: OnceLock<SocketAddr>,
     state_dir: PathBuf,
     max_pending: usize,
     exec: ExecTemplate,
@@ -218,6 +231,7 @@ impl Registry {
                 next_seq = next_seq.max(seq + 1);
             }
             let total = spec.len();
+            let invalid = spec.validate().err();
             let mut job = Job {
                 spec,
                 dir: dir.clone(),
@@ -226,6 +240,15 @@ impl Registry {
                 error: None,
                 progress: LiveProgress::default(),
             };
+            if let Some(e) = invalid {
+                // Admitted by an older build with looser limits: running
+                // it could abort the process, and every restart would
+                // re-enqueue it. Fail it once, here.
+                job.state = JobState::Failed;
+                job.error = Some(format!("spec.json fails validation: {e}"));
+                jobs.insert(id, job);
+                continue;
+            }
             match std::fs::read_to_string(dir.join("result.json")) {
                 Ok(text) => match SweepResult::from_json(&text) {
                     Ok(result) => {
@@ -252,8 +275,11 @@ impl Registry {
                 next_seq,
                 draining: false,
                 running: 0,
+                events: 0,
             }),
             wake: Condvar::new(),
+            progress: Condvar::new(),
+            listener: OnceLock::new(),
             state_dir,
             max_pending: max_pending.max(1),
             exec,
@@ -359,17 +385,72 @@ impl Registry {
         st.jobs.get(id).map(|j| (j.spec.clone(), j.dir.clone()))
     }
 
+    /// Records the address the server accepts on, so [`Registry::drain`]
+    /// can wake it. An unspecified IP (`0.0.0.0`, `::`) is reached over
+    /// loopback.
+    pub(crate) fn wake_on_drain(&self, mut addr: SocketAddr) {
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let _ = self.listener.set(addr);
+    }
+
     /// Stops admission and wakes every worker so they exit once running
-    /// jobs finish; queued jobs stay on disk and resume on restart.
+    /// jobs finish; queued jobs stay on disk and resume on restart. Also
+    /// ends every journal stream and, the first time, connects to the
+    /// server's listener so its blocking `accept` returns and sees the
+    /// drain.
     pub fn drain(&self) {
-        self.state.lock().expect("registry poisoned").draining = true;
+        let first = {
+            let mut st = self.state.lock().expect("registry poisoned");
+            st.events += 1;
+            !std::mem::replace(&mut st.draining, true)
+        };
         self.wake.notify_all();
+        self.progress.notify_all();
+        if let (true, Some(addr)) = (first, self.listener.get()) {
+            // Refused once the server has stopped listening: nothing to
+            // wake then.
+            let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
+        }
     }
 
     /// Whether [`Registry::drain`] has been called.
     #[must_use]
     pub fn draining(&self) -> bool {
         self.state.lock().expect("registry poisoned").draining
+    }
+
+    /// Where a journal follower stands: the current event count, and
+    /// whether the job will append nothing more (finished, unknown, or
+    /// the registry is draining). Read this *before* reading the
+    /// journal, then [`Registry::wait_for_event`] on the count: the
+    /// executor appends each line before it reports the entry, so no
+    /// line can slip between the read and the wait.
+    #[must_use]
+    pub(crate) fn follow_mark(&self, id: &str) -> (u64, bool) {
+        let st = self.state.lock().expect("registry poisoned");
+        let settled = st.draining || st.jobs.get(id).is_none_or(|j| j.state.finished());
+        (st.events, settled)
+    }
+
+    /// Blocks until the event count moves past `seen`: a journal
+    /// append, a job finish, or a drain.
+    pub(crate) fn wait_for_event(&self, seen: u64) {
+        let st = self.state.lock().expect("registry poisoned");
+        let _guard = self
+            .progress
+            .wait_while(st, |st| st.events == seen)
+            .expect("registry poisoned");
+    }
+
+    /// Bumps the event count and wakes journal followers.
+    fn notify_followers(&self, st: &mut RegistryState) {
+        st.events += 1;
+        self.progress.notify_all();
     }
 
     /// Whether any admitted job is still queued or running.
@@ -395,11 +476,7 @@ impl Registry {
                         }
                         break id;
                     }
-                    st = self
-                        .wake
-                        .wait_timeout(st, Duration::from_millis(200))
-                        .expect("registry poisoned")
-                        .0;
+                    st = self.wake.wait(st).expect("registry poisoned");
                 }
             };
             self.run_job(&id);
@@ -464,6 +541,7 @@ impl Registry {
             job.error = error;
             job.progress.eta_secs = 0.0;
         }
+        self.notify_followers(&mut st);
     }
 }
 
@@ -488,6 +566,7 @@ impl SweepObserver for LiveObserver<'_> {
                 None => {}
             }
         }
+        self.registry.notify_followers(&mut st);
     }
 }
 
@@ -578,6 +657,30 @@ mod tests {
             .result
             .to_json();
         assert_eq!(artifact, batch, "served artifact == batch CLI artifact");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restart_scan_fails_a_spec_that_no_longer_validates() {
+        // A job directory left by a build with looser limits: a grid far
+        // over MAX_POINTS. Re-queueing it would expand it on every start.
+        let dir = tmp_dir("oversized");
+        let job_dir = dir.join("job-0007");
+        std::fs::create_dir_all(&job_dir).expect("job dir");
+        let mut spec = tiny_spec();
+        spec.machine.miss_latency = vec![100; mcsim_sweep::MAX_POINTS + 1];
+        std::fs::write(
+            job_dir.join("spec.json"),
+            serde_json::to_string(&spec).expect("serializes"),
+        )
+        .expect("spec.json");
+        let registry = Registry::open(&dir, 4, ExecTemplate::default()).expect("opens");
+        assert_eq!(registry.job_state("job-0007"), Some(JobState::Failed));
+        let error = registry
+            .job_error("job-0007")
+            .expect("failed job has an error");
+        assert!(error.contains("fails validation"), "{error}");
+        assert!(!registry.busy(), "nothing was queued");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

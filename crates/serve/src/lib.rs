@@ -32,9 +32,10 @@
 //! DESIGN.md for the protocol rationale.
 
 #![warn(missing_docs)]
-// `signal.rs` declares `signal(2)` against the C runtime directly (the
-// dependency policy forbids the libc crate); that is the only unsafe in
-// the workspace, so it stays scoped and denied-by-default elsewhere.
+// `signal.rs` declares `signal(2)` and `write(2)` against the C runtime
+// directly (the dependency policy forbids the libc crate); that is the
+// only unsafe in the workspace, so it stays scoped and denied-by-default
+// elsewhere.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod http;

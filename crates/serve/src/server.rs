@@ -1,11 +1,14 @@
 //! The accept loop and request router.
 //!
-//! One thread per connection on top of a non-blocking accept loop that
-//! polls the drain flags ([`crate::signal`] for SIGTERM/SIGINT, the
-//! registry for `POST /shutdown`) between accepts. Request handling is
-//! synchronous; the only long-lived connection is the chunked
-//! `?follow=1` journal feed, which polls the journal file until its job
-//! finishes.
+//! Nothing here waits on a timer. The accept loop blocks in `accept`
+//! and queues each connection for a fixed set of [`HANDLERS`] reused
+//! threads. A drain — `POST /shutdown`, SIGTERM/SIGINT (through
+//! [`crate::signal`]), or an embedder calling [`Registry::drain`] —
+//! wakes it by connecting to the server's own address, which the
+//! registry learns at [`bind`]. Request handling is synchronous; the
+//! only long-lived connection is the chunked `?follow=1` journal feed,
+//! which moves to a thread of its own and sleeps on the registry's
+//! condvar until a journal append, the job's finish, or a drain.
 //!
 //! ## Endpoints
 //!
@@ -23,7 +26,8 @@
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::Scope;
 use std::time::Duration;
 
 use mcsim_sweep::{builtin, execute_point, point_hash, SweepSpec, BUILTIN_NAMES};
@@ -34,8 +38,11 @@ use crate::job::{ExecTemplate, JobState, Registry, SubmitError};
 use crate::signal;
 use crate::tail::JournalTail;
 
-/// How often drain flags and followed journals are polled.
-const POLL: Duration = Duration::from_millis(25);
+/// Connection handler threads. A fixed, reused set: a client polling
+/// back to back never starts a thread (or, under glibc, a malloc arena)
+/// per request. Two keep one slow or silent client from stalling the
+/// rest; `?follow=1` streams run on threads of their own.
+const HANDLERS: usize = 2;
 
 /// Server configuration (the parsed CLI).
 #[derive(Debug, Clone)]
@@ -89,10 +96,11 @@ pub fn bind(cfg: ServerConfig) -> Result<Server, String> {
     let registry = Registry::open(&cfg.state_dir, cfg.max_pending, cfg.exec)?;
     let listener =
         TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| format!("cannot read bound address: {e}"))?;
+    registry.wake_on_drain(addr);
     if let Some(path) = &cfg.addr_file {
-        let addr = listener
-            .local_addr()
-            .map_err(|e| format!("cannot read bound address: {e}"))?;
         std::fs::write(path, addr.to_string())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
@@ -118,61 +126,81 @@ impl Server {
         Arc::clone(&self.registry)
     }
 
-    /// Serves until drained (SIGTERM/SIGINT or `POST /shutdown`):
-    /// spawns the job workers, accepts connections, then joins
-    /// everything. Running jobs finish; queued jobs stay journaled on
-    /// disk and resume on the next start.
+    /// Serves until drained (SIGTERM/SIGINT, `POST /shutdown`, or
+    /// [`Registry::drain`]): spawns the job workers and connection
+    /// handlers, accepts connections, then joins everything. Running
+    /// jobs finish; queued jobs stay journaled on disk and resume on
+    /// the next start.
     ///
     /// # Errors
-    /// Fatal listener failures; per-connection errors are logged and
-    /// dropped.
+    /// Fatal listener failures (after a drain); per-connection errors
+    /// are dropped.
     pub fn run(self) -> Result<(), String> {
         let Server {
             listener,
             registry,
             cfg,
         } = self;
-        let mut workers = Vec::new();
-        for _ in 0..cfg.workers {
-            let reg = Arc::clone(&registry);
-            workers.push(std::thread::spawn(move || reg.worker_loop()));
-        }
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set non-blocking accept: {e}"))?;
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if signal::requested() {
-                registry.drain();
+        let (listener, registry) = (&listener, &registry);
+        let (conns, queue) = mpsc::channel::<TcpStream>();
+        let queue = &Mutex::new(queue);
+        // The scope joins everything it spawned — workers, handlers and
+        // journal followers — before `run` returns.
+        std::thread::scope(|s| {
+            for _ in 0..cfg.workers {
+                s.spawn(|| registry.worker_loop());
             }
-            if registry.draining() {
-                break;
+            for _ in 0..HANDLERS {
+                s.spawn(move || loop {
+                    let next = queue.lock().expect("connection queue poisoned").recv();
+                    let Ok(stream) = next else {
+                        return; // the accept loop is gone
+                    };
+                    handle_connection(s, stream, registry);
+                });
             }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let reg = Arc::clone(&registry);
-                    conns.push(std::thread::spawn(move || handle_connection(stream, &reg)));
-                    conns.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(e) => return Err(format!("accept failed: {e}")),
+            let failure = accept_loop(listener, registry, &conns);
+            if !cfg.quiet {
+                eprintln!(
+                    "mcsim serve: draining (running jobs finish, queued jobs keep their journals)"
+                );
             }
-        }
-        if !cfg.quiet {
-            eprintln!(
-                "mcsim serve: draining (running jobs finish, queued jobs keep their journals)"
-            );
-        }
-        for handle in conns {
-            let _ = handle.join();
-        }
-        for handle in workers {
-            let _ = handle.join();
-        }
-        Ok(())
+            // Handlers finish the connections already accepted, then
+            // see the closed queue.
+            drop(conns);
+            failure
+        })
     }
+}
+
+/// Blocks in `accept` and queues each connection for the handlers,
+/// until the registry drains.
+///
+/// # Errors
+/// A fatal `accept` failure, after draining the registry.
+fn accept_loop(
+    listener: &TcpListener,
+    registry: &Registry,
+    conns: &mpsc::Sender<TcpStream>,
+) -> Result<(), String> {
+    while !registry.draining() {
+        match listener.accept() {
+            // After a drain this is its wake-up connection (or a client
+            // racing it): dropped unanswered.
+            Ok((stream, _)) => {
+                if !registry.draining() {
+                    let _ = conns.send(stream);
+                }
+            }
+            // The client reset before we accepted it.
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {}
+            Err(e) => {
+                registry.drain();
+                return Err(format!("accept failed: {e}"));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Binds and serves in one call — the CLI entry point.
@@ -180,9 +208,19 @@ impl Server {
 /// # Errors
 /// See [`bind`] and [`Server::run`].
 pub fn serve(cfg: ServerConfig) -> Result<(), String> {
-    signal::install();
+    // Installed before `bind` writes the addr file: a signal sent the
+    // moment that file appears must drain, not kill.
+    let termination =
+        signal::install().map_err(|e| format!("cannot install signal handlers: {e}"))?;
     let quiet = cfg.quiet;
     let server = bind(cfg)?;
+    let registry = server.registry();
+    // Left detached: without a signal it blocks until the process exits.
+    std::thread::spawn(move || {
+        if termination.wait() {
+            registry.drain();
+        }
+    });
     if !quiet {
         let addr = server.local_addr()?;
         eprintln!("mcsim serve: listening on http://{addr} (POST /sweeps, GET /sweeps/<id>)");
@@ -190,24 +228,41 @@ pub fn serve(cfg: ServerConfig) -> Result<(), String> {
     server.run()
 }
 
-fn handle_connection(stream: TcpStream, registry: &Arc<Registry>) {
+fn handle_connection<'scope>(
+    s: &'scope Scope<'scope, '_>,
+    stream: TcpStream,
+    registry: &'scope Arc<Registry>,
+) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
+    let request = http::read_request(&mut BufReader::new(&stream));
     let mut writer = stream;
-    match http::read_request(&mut reader) {
+    // A route error means the client went away mid-response; there is
+    // nothing left to answer.
+    match request {
+        Ok(req) if streams(&req) => {
+            s.spawn(move || {
+                let _ = route(&req, registry, &mut writer);
+            });
+        }
         Ok(req) => {
-            if let Err(e) = route(&req, registry, &mut writer) {
-                // The client went away mid-response; nothing to answer.
-                let _ = e;
-            }
+            let _ = route(&req, registry, &mut writer);
         }
         Err(msg) => {
             let _ = http::write_response(&mut writer, &Response::error(400, &msg));
         }
     }
+}
+
+fn segments(path: &str) -> Vec<&str> {
+    path.split('/').filter(|s| !s.is_empty()).collect()
+}
+
+/// Whether the request is a `?follow=1` journal stream, which outlives
+/// its job's progress and so must not hold a handler thread.
+fn streams(req: &Request) -> bool {
+    req.method == "GET"
+        && req.flag("follow")
+        && matches!(segments(&req.path).as_slice(), ["sweeps", _, "journal"])
 }
 
 /// `POST /sweeps` alternative body: run a named built-in grid.
@@ -232,8 +287,7 @@ fn json_err<W: Write>(w: &mut W, status: u16, msg: &str) -> std::io::Result<()> 
 }
 
 fn route<W: Write>(req: &Request, registry: &Arc<Registry>, w: &mut W) -> std::io::Result<()> {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
+    match (req.method.as_str(), segments(&req.path).as_slice()) {
         ("GET", ["healthz"]) => json_ok(w, 200, "{\"ok\":true}".to_string()),
         ("GET", ["sweeps"]) => {
             let body = serde_json::to_string_pretty(&registry.list())
@@ -376,17 +430,18 @@ fn journal<W: Write>(
     }
     http::write_chunked_head(w, "application/x-ndjson")?;
     loop {
-        // Order matters: observe "finished" *before* the poll, so the
-        // final poll is guaranteed to run after the last journal write.
-        let finished = registry.job_state(id).is_none_or(JobState::finished) || registry.draining();
+        // Order matters: take the mark *before* reading, so the final
+        // read runs after the last journal write, and any append after
+        // the mark ends the wait at once.
+        let (seen, settled) = registry.follow_mark(id);
         let lines = tail.poll().unwrap_or_default();
         for line in &lines {
             http::write_chunk(w, format!("{line}\n").as_bytes())?;
         }
-        if finished {
+        if settled {
             break;
         }
-        std::thread::sleep(POLL);
+        registry.wait_for_event(seen);
     }
     http::finish_chunked(w)
 }

@@ -9,8 +9,13 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use std::sync::mpsc;
+
+use mcsim_consistency::Model;
+use mcsim_mem::Protocol;
+use mcsim_proc::Techniques;
 use mcsim_serve::{bind, ExecTemplate, Server, ServerConfig};
-use mcsim_sweep::{run_sweep, ExecOptions, SweepSpec, WorkloadSpec};
+use mcsim_sweep::{run_sweep, ExecOptions, SweepSpec, Window, WorkloadSpec};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mcsim-serve-e2e-{name}-{}", std::process::id()));
@@ -31,6 +36,18 @@ fn timeout_spec() -> SweepSpec {
     let mut spec = SweepSpec::new("serve-e2e-timeout", "trace endpoint test");
     spec.workloads = vec![WorkloadSpec::PaperExample1];
     spec.max_cycles = 1;
+    spec
+}
+
+/// Six 5,000-entry axes: ~400 KB of JSON whose grid size overflows.
+fn oversized_spec() -> SweepSpec {
+    let mut spec = SweepSpec::new("serve-e2e-oversized", "admission size limit");
+    spec.models = vec![Model::Sc; 5000];
+    spec.techniques = vec![Techniques::NONE; 5000];
+    spec.machine.miss_latency = vec![100; 5000];
+    spec.machine.window = vec![Window::Ideal; 5000];
+    spec.machine.protocol = vec![Protocol::Invalidate; 5000];
+    spec.workloads = vec![WorkloadSpec::PaperExample1; 5000];
     spec
 }
 
@@ -205,6 +222,14 @@ fn admission_and_error_paths() {
     let (status, body) = post(addr, "/sweeps", &body);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("machine.miss_latency"), "{body}");
+    // A grid whose size overflows is refused before anything expands it.
+    let (status, body) = post(
+        addr,
+        "/sweeps",
+        &serde_json::to_string(&oversized_spec()).unwrap(),
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("points; the limit is"), "{body}");
     let (status, _) = get(addr, "/nowhere");
     assert_eq!(status, 404);
     let (status, body) = get(addr, &format!("/sweeps/{id}/results"));
@@ -339,4 +364,116 @@ fn restart_resumes_a_partial_journal_to_an_identical_artifact() {
     shutdown_and_join(addr, handle);
     let _ = std::fs::remove_dir_all(&scratch);
     let _ = std::fs::remove_dir_all(&state);
+}
+
+/// Runs the server on a thread that reports when `Server::run` returns.
+fn run_reporting(server: Server) -> mpsc::Receiver<Result<(), String>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.run());
+    });
+    rx
+}
+
+fn median_ms(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+#[test]
+fn requests_are_answered_without_waiting_out_a_poll() {
+    let (server, addr, dir) = start("latency", 0, 8);
+    let handle = std::thread::spawn(move || server.run());
+    let samples: Vec<f64> = (0..20)
+        .map(|_| {
+            let started = Instant::now();
+            let (status, _) = get(addr, "/healthz");
+            assert_eq!(status, 200);
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let median = median_ms(samples);
+    assert!(median < 5.0, "median GET /healthz took {median:.2} ms");
+    shutdown_and_join(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_and_a_direct_drain_both_stop_run_within_a_second() {
+    let (server, addr, dir) = start("stop-post", 1, 8);
+    let stopped = run_reporting(server);
+    let (status, body) = post(addr, "/shutdown", "");
+    assert_eq!(status, 200, "{body}");
+    let result = stopped.recv_timeout(Duration::from_secs(1));
+    assert_eq!(
+        result,
+        Ok(Ok(())),
+        "POST /shutdown left Server::run running"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (server, addr, dir) = start("stop-drain", 1, 8);
+    let registry = server.registry();
+    let stopped = run_reporting(server);
+    assert_eq!(get(addr, "/healthz").0, 200, "serving before the drain");
+    registry.drain();
+    let result = stopped.recv_timeout(Duration::from_secs(1));
+    assert_eq!(
+        result,
+        Ok(Ok(())),
+        "Registry::drain left Server::run running"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_followed_journal_closes_promptly_when_its_job_is_done() {
+    let (server, addr, dir) = start("follow-close", 1, 8);
+    let handle = std::thread::spawn(move || server.run());
+    // Long enough that the stream opens while the job runs.
+    let mut spec = grid_spec();
+    spec.machine.miss_latency = vec![100, 200, 300, 400];
+    spec.models = Model::ALL_EXTENDED.to_vec();
+    let points = spec.len();
+    let id = submit_spec(addr, &spec);
+    let follower = {
+        let path = format!("/sweeps/{id}/journal?follow=1");
+        std::thread::spawn(move || {
+            let (status, body) = get(addr, &path);
+            (status, body, Instant::now())
+        })
+    };
+    wait_done(addr, &id);
+    let done_seen = Instant::now();
+    let (status, body, closed) = follower.join().expect("follower thread");
+    assert_eq!(status, 200);
+    assert_eq!(body.lines().count(), 1 + points, "header + every point");
+    assert!(
+        closed < done_seen + Duration::from_secs(1),
+        "stream closed {:?} after the job was seen done",
+        closed - done_seen
+    );
+    shutdown_and_join(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_silent_connection_does_not_delay_other_requests() {
+    let (server, addr, dir) = start("silent", 0, 8);
+    let handle = std::thread::spawn(move || server.run());
+    // `connect` returns once the connection sits in the accept queue,
+    // which is first in, first out: the server takes the silent one
+    // first and hands it to a handler before it sees the request below.
+    let silent = TcpStream::connect(addr).expect("connect");
+    let started = Instant::now();
+    let (status, _) = get(addr, "/healthz");
+    let took = started.elapsed();
+    assert_eq!(status, 200);
+    assert!(
+        took < Duration::from_secs(1),
+        "GET /healthz waited {took:?} behind a silent connection"
+    );
+    drop(silent);
+    shutdown_and_join(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -54,6 +54,8 @@ pub use journal::{
 };
 pub use progress::{fast_forward_speedup, ProgressSnapshot, ProgressState};
 pub use result::{PointMetrics, PointOutcome, PointRecord, SweepResult, SweepRun, SweepTiming};
-pub use spec::{derive_seed, MachineAxes, SweepPoint, SweepSpec, Window, WorkloadSpec};
+pub use spec::{
+    derive_seed, MachineAxes, SweepPoint, SweepSpec, Window, WorkloadSpec, MAX_POINTS, MAX_PROCS,
+};
 pub use supervise::{Isolation, RetryPolicy, Supervisor};
 pub use table::render_groups;

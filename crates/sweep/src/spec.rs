@@ -19,6 +19,15 @@ use mcsim_workloads::generators::{
 use mcsim_workloads::paper;
 use serde::{Deserialize, Serialize};
 
+/// Most points one spec's grid may hold: far above every built-in grid,
+/// and low enough that no spec can ask the executor to expand (or a
+/// server to hold) a point list that exhausts memory.
+pub const MAX_POINTS: usize = 100_000;
+
+/// Most processors one workload may ask for: 16 times the largest
+/// built-in machine (E20's 64).
+pub const MAX_PROCS: usize = 1024;
+
 /// Instruction-window axis value: the paper-calibrated ideal frontend or
 /// a finite ROB/fetch-width pair (E13's lookahead sensitivity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -249,6 +258,26 @@ impl WorkloadSpec {
         }
     }
 
+    /// Processors the workload runs on: the length of
+    /// [`WorkloadSpec::programs`], without building them.
+    #[must_use]
+    pub fn procs(&self) -> usize {
+        match self {
+            WorkloadSpec::PaperExample1 | WorkloadSpec::PaperExample2 => 1,
+            WorkloadSpec::ArraySweep { .. } => 1,
+            WorkloadSpec::Figure5 => 2,
+            WorkloadSpec::CriticalSections { procs, .. }
+            | WorkloadSpec::TicketLock { procs, .. }
+            | WorkloadSpec::QueueLock { procs, .. }
+            | WorkloadSpec::FalseSharing { procs, .. } => *procs,
+            WorkloadSpec::PipelineHandoff { stages, .. } => *stages,
+            // The writer runs on an extra processor.
+            WorkloadSpec::Seqlock { readers, .. } | WorkloadSpec::Rcu { readers, .. } => {
+                readers.saturating_add(1)
+            }
+        }
+    }
+
     /// Primes machine state (memory contents, cache warm-up) the workload
     /// assumes, mirroring what the hand-written experiment binaries did.
     pub fn setup(&self, m: &mut Machine) {
@@ -374,8 +403,10 @@ impl SweepSpec {
         }
     }
 
-    /// Checks the spec describes a non-empty, well-formed grid whose
-    /// machine parameters every point can be built with.
+    /// Checks the spec describes a non-empty, well-formed grid of at
+    /// most [`MAX_POINTS`] points, whose machine parameters every point
+    /// can be built with and whose workloads need at most [`MAX_PROCS`]
+    /// processors.
     ///
     /// Parameter values that only fail *inside* a run (e.g. a workload
     /// with zero locks) are deliberately not rejected here: the executor
@@ -383,7 +414,8 @@ impl SweepSpec {
     /// alive.
     ///
     /// # Errors
-    /// A human-readable message naming the empty or out-of-range axis.
+    /// A human-readable message naming the empty or out-of-range axis,
+    /// or the grid size.
     pub fn validate(&self) -> Result<(), String> {
         for (axis, empty) in [
             ("models", self.models.is_empty()),
@@ -422,22 +454,47 @@ impl SweepSpec {
                 self.name
             ));
         }
+        if let Some(w) = self.workloads.iter().find(|w| w.procs() > MAX_PROCS) {
+            return Err(format!(
+                "sweep '{}': axis 'workloads' holds {} on {} processors; \
+                 the limit is {MAX_PROCS}",
+                self.name,
+                w.label(),
+                w.procs()
+            ));
+        }
         if self.max_cycles == 0 {
             return Err(format!("sweep '{}': max_cycles is zero", self.name));
         }
-        Ok(())
+        match self.checked_len() {
+            Some(n) if n <= MAX_POINTS => Ok(()),
+            size => Err(format!(
+                "sweep '{}': the grid has {} points; the limit is {MAX_POINTS}",
+                self.name,
+                size.map_or_else(|| format!("more than {}", usize::MAX), |n| n.to_string())
+            )),
+        }
     }
 
-    /// Total number of grid points.
+    /// Total number of grid points, saturating at `usize::MAX` (a grid
+    /// that large never passes [`SweepSpec::validate`]).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.workloads.len()
-            * self.machine.protocol.len()
-            * self.machine.dir_format.len()
-            * self.machine.miss_latency.len()
-            * self.machine.window.len()
-            * self.models.len()
-            * self.techniques.len()
+        self.checked_len().unwrap_or(usize::MAX)
+    }
+
+    /// The product of the axis lengths, or `None` if it overflows.
+    fn checked_len(&self) -> Option<usize> {
+        [
+            self.machine.protocol.len(),
+            self.machine.dir_format.len(),
+            self.machine.miss_latency.len(),
+            self.machine.window.len(),
+            self.models.len(),
+            self.techniques.len(),
+        ]
+        .into_iter()
+        .try_fold(self.workloads.len(), usize::checked_mul)
     }
 
     /// Whether the grid is empty.
@@ -620,6 +677,90 @@ mod tests {
         spec.workloads.clear();
         assert!(spec.validate().unwrap_err().contains("workloads"));
         assert!(tiny_spec().validate().is_ok());
+    }
+
+    #[test]
+    fn validate_bounds_the_grid_size_without_overflowing() {
+        // Six 5,000-entry axes: the product overflows usize.
+        let mut huge = tiny_spec();
+        huge.models = vec![Model::Sc; 5000];
+        huge.techniques = vec![Techniques::NONE; 5000];
+        huge.machine.miss_latency = vec![100; 5000];
+        huge.machine.window = vec![Window::Ideal; 5000];
+        huge.machine.protocol = vec![Protocol::Invalidate; 5000];
+        huge.workloads = vec![WorkloadSpec::PaperExample1; 5000];
+        assert_eq!(huge.len(), usize::MAX, "saturates instead of wrapping");
+        let err = huge.validate().unwrap_err();
+        assert!(err.contains("points") && err.contains("limit"), "{err}");
+
+        let mut at_cap = tiny_spec();
+        at_cap.models = vec![Model::Sc];
+        at_cap.techniques = vec![Techniques::NONE];
+        at_cap.workloads = vec![WorkloadSpec::PaperExample1];
+        at_cap.machine.miss_latency = vec![100; MAX_POINTS];
+        assert!(at_cap.validate().is_ok());
+        at_cap.machine.miss_latency.push(100);
+        let err = at_cap.validate().unwrap_err();
+        assert!(err.contains(&(MAX_POINTS + 1).to_string()), "{err}");
+    }
+
+    #[test]
+    fn validate_bounds_a_workloads_processors() {
+        let mut spec = tiny_spec();
+        spec.workloads = vec![WorkloadSpec::TicketLock {
+            procs: MAX_PROCS,
+            increments: 1,
+        }];
+        assert!(spec.validate().is_ok());
+        for too_many in [
+            WorkloadSpec::TicketLock {
+                procs: MAX_PROCS + 1,
+                increments: 1,
+            },
+            WorkloadSpec::Rcu {
+                readers: usize::MAX,
+                versions: 1,
+            },
+        ] {
+            spec.workloads = vec![WorkloadSpec::PaperExample1, too_many];
+            let err = spec.validate().unwrap_err();
+            assert!(
+                err.contains("workloads") && err.contains("processors"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn procs_counts_the_programs_a_workload_builds() {
+        let mut workloads: Vec<WorkloadSpec> = crate::BUILTIN_NAMES
+            .iter()
+            .flat_map(|name| crate::builtin(name).expect("exists").workloads)
+            .collect();
+        workloads.extend([
+            WorkloadSpec::Figure5,
+            WorkloadSpec::PaperExample2,
+            WorkloadSpec::ArraySweep {
+                n: 3,
+                stores: false,
+            },
+            WorkloadSpec::PipelineHandoff {
+                stages: 3,
+                values: 2,
+            },
+            WorkloadSpec::Seqlock {
+                readers: 2,
+                updates: 1,
+                words: 1,
+            },
+            WorkloadSpec::Rcu {
+                readers: 3,
+                versions: 1,
+            },
+        ]);
+        for w in workloads {
+            assert_eq!(w.procs(), w.programs(7).len(), "{}", w.label());
+        }
     }
 
     #[test]

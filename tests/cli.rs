@@ -116,3 +116,88 @@ fn sweep_specs_with_unbuildable_machine_values_are_refused() {
     assert!(stderr.contains("machine.miss_latency"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A spec with six 5,000-entry axes: ~400 KB of JSON whose grid size
+/// overflows `usize`.
+fn oversized_spec() -> mcsim_sweep::SweepSpec {
+    use mcsim_consistency::Model;
+    use mcsim_proc::Techniques;
+    use mcsim_sweep::{Window, WorkloadSpec};
+    let mut spec = mcsim_sweep::SweepSpec::new("oversized", "six 5,000-entry axes");
+    spec.models = vec![Model::Sc; 5000];
+    spec.techniques = vec![Techniques::NONE; 5000];
+    spec.machine.miss_latency = vec![100; 5000];
+    spec.machine.window = vec![Window::Ideal; 5000];
+    spec.machine.protocol = vec![mcsim_mem::Protocol::Invalidate; 5000];
+    spec.workloads = vec![WorkloadSpec::PaperExample1; 5000];
+    spec
+}
+
+#[test]
+fn oversized_sweep_specs_are_refused_before_expansion() {
+    let path = tmp("oversized.spec.json");
+    std::fs::write(&path, serde_json::to_string(&oversized_spec()).unwrap()).unwrap();
+    let out = mcsim(&["sweep", "--spec", &path, "--quiet"]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("points; the limit is"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Starts `mcsim serve` on a free port, sends it `signal` with `kill`
+/// once it is listening, and expects a drain and exit 0 within 5 s.
+fn serve_drains_on(signal: &str) {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let addr_file = tmp(&format!("serve-{signal}.addr"));
+    let state_dir = tmp(&format!("serve-{signal}.state"));
+    let _ = std::fs::remove_file(&addr_file);
+    let mut server = Command::new(env!("CARGO_BIN_EXE_mcsim"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--quiet"])
+        .args(["--addr-file", &addr_file, "--state-dir", &state_dir])
+        .stdin(Stdio::null())
+        .spawn()
+        .expect("mcsim serve starts");
+    let started = Instant::now();
+    while std::fs::metadata(&addr_file).map_or(true, |m| m.len() == 0) {
+        if started.elapsed() > Duration::from_secs(30) {
+            let _ = server.kill();
+            panic!("mcsim serve never wrote {addr_file}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let sent = Command::new("kill")
+        .args([&format!("-{signal}"), &server.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(sent.success(), "kill -{signal} failed");
+    let signalled = Instant::now();
+    let status = loop {
+        if let Some(status) = server.try_wait().expect("wait on mcsim serve") {
+            break status;
+        }
+        if signalled.elapsed() > Duration::from_secs(5) {
+            let _ = server.kill();
+            let _ = server.wait();
+            panic!("mcsim serve still running 5 s after SIG{signal}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let _ = std::fs::remove_file(&addr_file);
+    let _ = std::fs::remove_dir_all(&state_dir);
+    assert!(
+        status.success(),
+        "SIG{signal} must drain to exit 0: {status:?}"
+    );
+}
+
+#[test]
+fn serve_drains_and_exits_zero_on_sigterm() {
+    serve_drains_on("TERM");
+}
+
+#[test]
+fn serve_drains_and_exits_zero_on_sigint() {
+    serve_drains_on("INT");
+}
