@@ -349,6 +349,14 @@ pub enum SimErrorKind {
     },
     /// The forward-progress watchdog declared the machine stalled.
     NoProgress(StallReport),
+    /// A committed load, store or RMW computed a word address that is not
+    /// 8-byte aligned.
+    Misaligned {
+        /// The computed byte address.
+        addr: u64,
+        /// The instruction that computed it.
+        pc: u32,
+    },
 }
 
 /// A structured, serializable simulation failure: what failed, at which
@@ -417,6 +425,17 @@ impl SimError {
         }
     }
 
+    /// A misaligned word access by the instruction at `pc`.
+    #[must_use]
+    pub fn misaligned(cycle: u64, proc: Option<ProcId>, addr: u64, pc: u32) -> Self {
+        SimError {
+            cycle,
+            proc,
+            line: None,
+            kind: SimErrorKind::Misaligned { addr, pc },
+        }
+    }
+
     /// The violated invariant, if this is an invariant failure.
     #[must_use]
     pub fn violated_invariant(&self) -> Option<InvariantKind> {
@@ -440,7 +459,8 @@ impl SimError {
         match &self.kind {
             SimErrorKind::Protocol { .. }
             | SimErrorKind::Invariant { .. }
-            | SimErrorKind::NoProgress(_) => FailureClass::Deterministic,
+            | SimErrorKind::NoProgress(_)
+            | SimErrorKind::Misaligned { .. } => FailureClass::Deterministic,
         }
     }
 
@@ -469,6 +489,10 @@ impl fmt::Display for SimError {
                 write!(f, ": invariant violated ({invariant}): {detail}")
             }
             SimErrorKind::NoProgress(report) => write!(f, ": {report}"),
+            SimErrorKind::Misaligned { addr, pc } => write!(
+                f,
+                ": misaligned access: pc {pc} computed address {addr:#x}, not 8-byte aligned"
+            ),
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Memory addresses and effective-address expressions.
 //!
 //! The simulator is word-oriented: every load/store moves one 64-bit value
-//! and addresses are plain byte addresses (workloads normally keep them
-//! 8-byte aligned, but nothing depends on it). Cache geometry maps an
+//! and addresses are plain byte addresses of 8-byte-aligned words (a
+//! misaligned static address fails program validation, a misaligned
+//! computed one fails the run). Cache geometry maps an
 //! [`Addr`] to a [`LineAddr`] by shifting off the block-offset bits; the
 //! coherence protocol, the speculative-load buffer's associative match, and
 //! the prefetcher all work at line granularity — which is exactly why
@@ -23,6 +24,16 @@ impl Addr {
     #[must_use]
     pub fn line(self, block_bits: u32) -> LineAddr {
         LineAddr(self.0 >> block_bits)
+    }
+
+    /// Whether this is the address of a whole 8-byte word. Every load,
+    /// store and read-modify-write must name one: the cache indexes words
+    /// by `offset / 8`, while store-buffer forwarding and the oracle key
+    /// on the exact address, so a misaligned access would mean different
+    /// things to each.
+    #[must_use]
+    pub fn is_aligned(self) -> bool {
+        self.0.is_multiple_of(8)
     }
 
     /// Byte offset of this address within its cache line.

@@ -281,6 +281,17 @@ impl Instr {
         matches!(self, Instr::Store { .. } | Instr::Rmw { .. })
     }
 
+    /// The address expression of a word access (load, store or RMW).
+    #[must_use]
+    pub fn word_addr(&self) -> Option<&AddrExpr> {
+        match self {
+            Instr::Load { addr, .. } | Instr::Store { addr, .. } | Instr::Rmw { addr, .. } => {
+                Some(addr)
+            }
+            _ => None,
+        }
+    }
+
     /// Whether this instruction accesses memory at all.
     #[must_use]
     pub fn is_mem(&self) -> bool {

@@ -33,6 +33,14 @@ pub enum ValidationError {
         /// Index of the offending instruction.
         at: usize,
     },
+    /// A load, store or RMW names a static address that is not 8-byte
+    /// aligned.
+    MisalignedAddress {
+        /// Index of the offending instruction.
+        at: usize,
+        /// The address.
+        addr: u64,
+    },
 }
 
 impl fmt::Display for ValidationError {
@@ -46,6 +54,12 @@ impl fmt::Display for ValidationError {
             ValidationError::ZeroLatency { at } => {
                 write!(f, "instruction {at}: ALU latency must be at least 1")
             }
+            ValidationError::MisalignedAddress { at, addr } => {
+                write!(
+                    f,
+                    "instruction {at}: address {addr:#x} is not 8-byte aligned"
+                )
+            }
         }
     }
 }
@@ -57,7 +71,8 @@ impl Program {
     ///
     /// # Errors
     /// Returns a [`ValidationError`] if a control-flow target is out of
-    /// range, an ALU latency is zero, or the program cannot halt.
+    /// range, an ALU latency is zero, a static word address is misaligned,
+    /// or the program cannot halt.
     pub fn new(name: impl Into<String>, instrs: Vec<Instr>) -> Result<Self, ValidationError> {
         let len = instrs.len();
         let mut has_halt = false;
@@ -69,6 +84,11 @@ impl Program {
             }
             if let Instr::Alu { latency: 0, .. } = i {
                 return Err(ValidationError::ZeroLatency { at });
+            }
+            if let Some(a) = i.word_addr().filter(|a| a.dep().is_none()) {
+                if !crate::Addr(a.base).is_aligned() {
+                    return Err(ValidationError::MisalignedAddress { at, addr: a.base });
+                }
             }
             has_halt |= matches!(i, Instr::Halt);
         }

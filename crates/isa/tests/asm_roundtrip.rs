@@ -19,7 +19,8 @@ fn operand() -> impl Strategy<Value = Operand> {
 
 fn addr_expr() -> impl Strategy<Value = AddrExpr> {
     prop_oneof![
-        (0u64..0x10_0000).prop_map(AddrExpr::direct),
+        // A valid program's static word addresses are 8-byte aligned.
+        (0u64..0x2_0000).prop_map(|w| AddrExpr::direct(w * 8)),
         (0u64..0x10_0000, reg(), 1u64..16).prop_map(|(b, r, s)| AddrExpr::indexed(b, r, s)),
     ]
 }

@@ -225,20 +225,43 @@ impl Cache {
         false
     }
 
+    /// The line of `addr` and the word's index within it.
+    fn word_of(&self, addr: Addr) -> (LineAddr, usize) {
+        let word = (addr.offset(self.cfg.block_bits) / 8) as usize;
+        (addr.line(self.cfg.block_bits), word)
+    }
+
+    /// The word at `addr` in a present (not merely reserved) copy of its
+    /// line, with the line's state. `Err` names the line when no copy is
+    /// present.
+    fn word_mut(&mut self, addr: Addr) -> Result<(LineState, &mut u64), LineAddr> {
+        let (line, word) = self.word_of(addr);
+        let set = self.set_of(line);
+        self.sets[set]
+            .iter_mut()
+            .find_map(|w| match w {
+                Way::Present {
+                    line: l,
+                    state,
+                    data,
+                    ..
+                } if *l == line.0 => Some((*state, &mut data[word])),
+                _ => None,
+            })
+            .ok_or(line)
+    }
+
     /// Reads the word at `addr`. Errors if the line is not present —
     /// callers must only read lines the protocol has made readable.
     pub fn read_word(&self, addr: Addr) -> Result<u64, CacheFault> {
-        let line = addr.line(self.cfg.block_bits);
-        let word = (addr.offset(self.cfg.block_bits) / 8) as usize;
-        let set = &self.sets[self.set_of(line)];
-        for w in set {
-            if let Way::Present { line: l, data, .. } = w {
-                if *l == line.0 {
-                    return Ok(data[word]);
-                }
-            }
-        }
-        Err(CacheFault::ReadAbsent { line })
+        let (line, word) = self.word_of(addr);
+        self.sets[self.set_of(line)]
+            .iter()
+            .find_map(|w| match w {
+                Way::Present { line: l, data, .. } if *l == line.0 => Some(data[word]),
+                _ => None,
+            })
+            .ok_or(CacheFault::ReadAbsent { line })
     }
 
     /// Writes the word at `addr`. Errors if the line is not held
@@ -246,48 +269,24 @@ impl Cache {
     /// (invalidation protocol), or the caller is the update-protocol path
     /// which uses [`Cache::update_word`].
     pub fn write_word(&mut self, addr: Addr, value: u64) -> Result<(), CacheFault> {
-        let line = addr.line(self.cfg.block_bits);
-        let word = (addr.offset(self.cfg.block_bits) / 8) as usize;
-        let set_idx = self.set_of(line);
-        for w in &mut self.sets[set_idx] {
-            if let Way::Present {
-                line: l,
-                state,
-                data,
-                ..
-            } = w
-            {
-                if *l == line.0 {
-                    if *state != LineState::Exclusive {
-                        return Err(CacheFault::WriteNotExclusive {
-                            line,
-                            state: *state,
-                        });
-                    }
-                    data[word] = value;
-                    return Ok(());
-                }
+        match self.word_mut(addr) {
+            Ok((LineState::Exclusive, w)) => {
+                *w = value;
+                Ok(())
             }
+            Ok((state, _)) => Err(CacheFault::WriteNotExclusive {
+                line: addr.line(self.cfg.block_bits),
+                state,
+            }),
+            Err(line) => Err(CacheFault::WriteAbsent { line }),
         }
-        Err(CacheFault::WriteAbsent { line })
     }
 
     /// Update-protocol word refresh: overwrites the word in place if the
     /// line is present (any state); no-op otherwise. Returns whether a
     /// copy was present.
     pub fn update_word(&mut self, addr: Addr, value: u64) -> bool {
-        let line = addr.line(self.cfg.block_bits);
-        let word = (addr.offset(self.cfg.block_bits) / 8) as usize;
-        let set_idx = self.set_of(line);
-        for w in &mut self.sets[set_idx] {
-            if let Way::Present { line: l, data, .. } = w {
-                if *l == line.0 {
-                    data[word] = value;
-                    return true;
-                }
-            }
-        }
-        false
+        self.word_mut(addr).map(|(_, w)| *w = value).is_ok()
     }
 
     /// Reserves a way for an outstanding fill of `line`, evicting the LRU

@@ -23,9 +23,9 @@
 //! schedule the eviction invalidation.
 
 use crate::config::{DirFormat, OverflowPolicy};
-use crate::msg::{ProcId, TxnId};
+use crate::msg::{ProcId, TxnId, WriteOp};
 use mcsim_guard::FxHashMap;
-use mcsim_isa::{Addr, LineAddr, RmwKind};
+use mcsim_isa::{Addr, LineAddr};
 use std::collections::{btree_set, BTreeSet, VecDeque};
 
 /// What [`SharerSet::insert`] (and [`Directory::add_sharer`]) had to do
@@ -354,23 +354,9 @@ pub enum ReqKind {
     /// Write miss or upgrade: exclusive ownership, please (invalidation
     /// protocol only).
     GetExclusive,
-    /// Update-protocol write: update memory and all copies.
-    UpdateWrite {
-        /// Word index within the line.
-        word_idx: usize,
-        /// New value.
-        value: u64,
-    },
-    /// Update-protocol atomic read-modify-write, performed at the
-    /// directory (the serialization point).
-    UpdateRmw {
-        /// Word index within the line.
-        word_idx: usize,
-        /// The atomic operation.
-        kind: RmwKind,
-        /// Operand for the modify step.
-        operand: u64,
-    },
+    /// Update-protocol write or atomic: performed at the directory (the
+    /// serialization point), which updates memory and every other copy.
+    Update(WriteOp),
 }
 
 /// A request in flight to (or queued at) the directory.

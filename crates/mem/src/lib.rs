@@ -58,7 +58,7 @@ pub mod system;
 
 pub use cache::CacheFault;
 pub use config::{CacheConfig, DirFormat, MemConfig, MemTimings, OverflowPolicy, Protocol};
-pub use msg::{DemandToken, IssueResult, MemEvent, PrefetchResult, ProbeResult, TxnId};
+pub use msg::{DemandToken, IssueResult, MemEvent, PrefetchResult, ProbeResult, TxnId, WriteOp};
 pub use mshr::MshrFault;
 pub use stats::MemStats;
 pub use system::MemorySystem;

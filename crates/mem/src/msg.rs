@@ -1,6 +1,6 @@
 //! Transaction identifiers, processor-visible events, and issue results.
 
-use mcsim_isa::LineAddr;
+use mcsim_isa::{Addr, LineAddr, RmwKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -30,6 +30,28 @@ pub struct DemandToken(pub u64);
 impl fmt::Display for DemandToken {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "op{}", self.0)
+    }
+}
+
+/// A demand write, from the core to the directory: a store of `operand`
+/// (`rmw = None`), or an atomic read-modify-write of kind `rmw` with
+/// `operand`, whose old value is bound to the demand's token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteOp {
+    /// Word written.
+    pub addr: Addr,
+    /// The atomic's kind; `None` for a plain store.
+    pub rmw: Option<RmwKind>,
+    /// The stored value, or the atomic's operand.
+    pub operand: u64,
+}
+
+impl WriteOp {
+    /// The value the write leaves in a word that held `old`.
+    #[must_use]
+    pub fn new_value(&self, old: u64) -> u64 {
+        self.rmw
+            .map_or(self.operand, |k| k.new_value(old, self.operand))
     }
 }
 

@@ -9,13 +9,14 @@
 //! entry, flips `prefetch_only` off, and waits on the existing
 //! transaction.
 
-use crate::msg::{DemandToken, TxnId};
+use crate::msg::{DemandToken, TxnId, WriteOp};
 use mcsim_guard::FxHashMap;
-use mcsim_isa::{Addr, LineAddr, RmwKind};
+use mcsim_isa::{Addr, LineAddr};
 
 /// A demand operation attached to an outstanding transaction, applied
-/// atomically when the fill arrives (grant and data use are one event, as
-/// in real protocols — no later coherence message can slip between them).
+/// atomically when the response arrives (grant and data use are one
+/// event, as in real protocols — no later coherence message can slip
+/// between them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PendingOp {
     /// Bind the word's value for a load.
@@ -23,22 +24,8 @@ pub enum PendingOp {
         /// Word to read.
         addr: Addr,
     },
-    /// Perform a store.
-    Write {
-        /// Word to write.
-        addr: Addr,
-        /// Value to store.
-        value: u64,
-    },
-    /// Perform an atomic read-modify-write; the old value is bound.
-    Rmw {
-        /// Word to operate on.
-        addr: Addr,
-        /// The atomic operation.
-        kind: RmwKind,
-        /// Operand for the modify step.
-        operand: u64,
-    },
+    /// Perform a store or an atomic read-modify-write.
+    Write(WriteOp),
 }
 
 /// One outstanding transaction.

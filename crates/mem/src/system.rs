@@ -13,12 +13,31 @@
 //! ## Atomic grant-and-apply
 //!
 //! Every demand access carries a [`DemandToken`]. Its architectural effect
-//! — binding a load value, performing a store, executing an atomic RMW —
-//! is applied *atomically with the grant*: on a hit, at issue; on a miss,
-//! the instant the fill arrives, before any later coherence message can
-//! steal the line (exactly as a real cache controller performs the pending
-//! access in the same transaction that grants ownership). Bound values are
+//! — binding a load value, or performing a write — is applied *atomically
+//! with the grant*: on a hit, at issue; on a miss, the instant the
+//! response arrives, before any later coherence message can steal the
+//! line (exactly as a real cache controller performs the pending access
+//! in the same transaction that grants ownership). Bound values are
 //! retrieved with [`MemorySystem::take_bound_value`].
+//!
+//! A write is one thing from the core to the directory: a [`WriteOp`]
+//! `(addr, rmw, operand)`, a plain store when `rmw` is `None`, otherwise
+//! an atomic whose old value is bound. The written value is always
+//! [`WriteOp::new_value`] of the word's old value. Under the invalidation
+//! protocol it is applied to the owned line with the exclusive grant.
+//! Under the update protocol the directory performs it (the serialization
+//! point), refreshes every other copy, and answers with the word's old
+//! and new values. The writer's own copy is written only then, from that
+//! directory-serialized value, never at issue: a remote write the
+//! directory ordered earlier has already landed by then, and one ordered
+//! later lands after. Until the response, the core's store buffer serves
+//! the writer's own loads of the word.
+//!
+//! Every transaction opens through one path: check for a free MSHR, hold
+//! a cache way (reserve one for a fill, pin the present line for an
+//! upgrade, or hold none for an update-protocol write), then allocate the
+//! [`TxnId`] and the MSHR and send the request. A refused attempt
+//! allocates no id.
 //!
 //! ## Timing recap (see [`crate::config::MemTimings`])
 //!
@@ -43,6 +62,7 @@ use crate::config::{MemConfig, Protocol};
 use crate::directory::{AddSharerOutcome, DirState, Directory, ReqKind, Request};
 use crate::msg::{
     DemandToken, IssueResult, LineState, MemEvent, PrefetchResult, ProbeResult, ProcId, TxnId,
+    WriteOp,
 };
 use crate::mshr::{Mshr, MshrFault, MshrFile, PendingOp};
 use crate::stats::MemStats;
@@ -63,13 +83,14 @@ enum ProcMsg {
         /// `None` for an upgrade acknowledgement (data already cached).
         data: Option<Box<[u64]>>,
     },
-    /// Response to an update-protocol write or RMW (no fill).
+    /// Response to an update-protocol write or RMW (no fill): the word
+    /// and its value before and after the write, in the directory's order.
     WriteDone {
         txn: TxnId,
         line: LineAddr,
-        /// For RMWs: the word refreshed in the local copy and its old and
-        /// new values.
-        rmw: Option<(Addr, u64 /* old */, u64 /* new */)>,
+        addr: Addr,
+        old: u64,
+        new: u64,
     },
     /// Another processor is gaining exclusive ownership: drop the line.
     Invalidate { line: LineAddr },
@@ -127,6 +148,17 @@ struct FaultInjector {
     kind: FaultKind,
     seen: u64,
     fired: bool,
+}
+
+/// How a new transaction holds a cache way while it is in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Hold {
+    /// Reserve a way for the fill (evicting a victim if needed).
+    Reserve,
+    /// Pin the line's present way: an upgrade in place.
+    Pin,
+    /// Hold none: an update-protocol write installs no line.
+    Wayless,
 }
 
 /// The machine-wide coherent memory system.
@@ -500,44 +532,27 @@ impl MemorySystem {
     /// `Miss`/`Merged` it binds when the fill arrives. Retrieve it with
     /// [`Self::take_bound_value`].
     pub fn issue_demand_read(&mut self, proc: ProcId, addr: Addr) -> IssueResult {
-        let line = self.line_of(addr);
-        let token = self.fresh_token();
-        // Outstanding transaction: merge (reads ride shared or exclusive
-        // fills alike).
-        if let Some(m) = self.mshrs[proc].get_mut(line) {
-            if m.prefetch_only {
-                m.prefetch_only = false;
-                self.stats.prefetches_useful += 1;
-            }
-            m.pending.push((token, PendingOp::Read { addr }));
-            let txn = m.txn;
-            self.stats.demand_merges += 1;
-            return IssueResult::Merged { txn, token };
-        }
-        if self.caches[proc].state(line).is_some() {
-            if self.caches[proc].demand_touch(line) {
-                self.stats.prefetches_useful += 1;
-            }
-            let v = self.cache_read(proc, addr);
-            self.bound_values.insert(token, v);
-            self.stats.demand_hits += 1;
-            return IssueResult::Hit { token };
-        }
-        self.launch_fill(proc, addr, false, Some((token, PendingOp::Read { addr })))
-            .unwrap_or_else(|e| e)
+        self.issue_cached(proc, addr, PendingOp::Read { addr }, false)
     }
 
-    /// Issues a demand write. Under the invalidation protocol this obtains
-    /// exclusive ownership and performs the store atomically with the
-    /// grant (immediately on a hit). Under the update protocol the value
-    /// rides to the directory and the write performs when all copies are
-    /// refreshed.
-    pub fn issue_demand_write(&mut self, proc: ProcId, addr: Addr, value: u64) -> IssueResult {
+    /// Issues a demand write: a store of `operand` (`rmw = None`), or an
+    /// atomic read-modify-write of kind `rmw` whose old value is bound to
+    /// the returned token. Under the invalidation protocol this obtains
+    /// exclusive ownership and performs the write atomically with the
+    /// grant (immediately on a hit). Under the update protocol the write
+    /// rides to the directory, which performs it (the serialization
+    /// point); it completes when all copies are refreshed.
+    pub fn issue_demand_write(
+        &mut self,
+        proc: ProcId,
+        addr: Addr,
+        rmw: Option<RmwKind>,
+        operand: u64,
+    ) -> IssueResult {
+        let op = WriteOp { addr, rmw, operand };
         match self.cfg.protocol {
-            Protocol::Invalidate => {
-                self.issue_owning_op(proc, addr, PendingOp::Write { addr, value })
-            }
-            Protocol::Update => self.issue_update_txn(proc, addr, None, value),
+            Protocol::Invalidate => self.issue_cached(proc, addr, PendingOp::Write(op), true),
+            Protocol::Update => self.issue_update_txn(proc, op),
         }
     }
 
@@ -555,232 +570,159 @@ impl MemorySystem {
             Protocol::Invalidate,
             "read-exclusive demands require the invalidation protocol"
         );
-        self.issue_owning_op(proc, addr, PendingOp::Read { addr })
+        self.issue_cached(proc, addr, PendingOp::Read { addr }, true)
     }
 
-    /// Issues a demand atomic read-modify-write. Invalidation protocol:
-    /// ownership is obtained and the atomic executes with the grant; the
-    /// old value is bound to the returned token. Update protocol: the
-    /// atomic executes at the directory (the serialization point).
-    pub fn issue_demand_rmw(
-        &mut self,
-        proc: ProcId,
-        addr: Addr,
-        kind: RmwKind,
-        operand: u64,
-    ) -> IssueResult {
-        match self.cfg.protocol {
-            Protocol::Invalidate => self.issue_owning_op(
-                proc,
-                addr,
-                PendingOp::Rmw {
-                    addr,
-                    kind,
-                    operand,
-                },
-            ),
-            Protocol::Update => self.issue_update_txn(proc, addr, Some(kind), operand),
-        }
-    }
-
-    /// Applies a demand op against the local cache (the line must be held
-    /// exclusively), binding values as needed.
+    /// Applies a demand op against the local cache (a write needs the line
+    /// held exclusively), binding values as needed.
     fn apply_op(&mut self, proc: ProcId, token: DemandToken, op: PendingOp) {
         match op {
             PendingOp::Read { addr } => {
                 let v = self.cache_read(proc, addr);
                 self.bound_values.insert(token, v);
             }
-            PendingOp::Write { addr, value } => {
-                if let Err(e) = self.caches[proc].write_word(addr, value) {
+            PendingOp::Write(w) => {
+                let old = w.rmw.map(|_| self.cache_read(proc, w.addr));
+                let new = w.new_value(old.unwrap_or_default());
+                if let Err(e) = self.caches[proc].write_word(w.addr, new) {
                     self.fault_from_cache(proc, e);
                 }
-            }
-            PendingOp::Rmw {
-                addr,
-                kind,
-                operand,
-            } => {
-                let old = self.cache_read(proc, addr);
-                if let Err(e) = self.caches[proc].write_word(addr, kind.new_value(old, operand)) {
-                    self.fault_from_cache(proc, e);
+                if let Some(old) = old {
+                    self.bound_values.insert(token, old);
                 }
-                self.bound_values.insert(token, old);
             }
         }
     }
 
-    /// Write/RMW path under the invalidation protocol: needs exclusive
-    /// ownership; the op is applied atomically with the grant.
-    fn issue_owning_op(&mut self, proc: ProcId, addr: Addr, op: PendingOp) -> IssueResult {
-        let line = self.line_of(addr);
-        let token = self.fresh_token();
-        if let Some(m) = self.mshrs[proc].get_mut(line) {
-            if m.exclusive {
-                if m.prefetch_only {
-                    m.prefetch_only = false;
-                    self.stats.prefetches_useful += 1;
-                }
-                m.pending.push((token, op));
-                let txn = m.txn;
-                self.stats.demand_merges += 1;
-                return IssueResult::Merged { txn, token };
-            }
-            // A shared fill is in flight; the write must wait for it and
-            // then upgrade.
-            return IssueResult::WaitForFill { txn: m.txn };
-        }
-        match self.caches[proc].state(line) {
-            Some(LineState::Exclusive) => {
-                if self.caches[proc].demand_touch(line) {
-                    self.stats.prefetches_useful += 1;
-                }
-                self.apply_op(proc, token, op);
-                self.stats.demand_hits += 1;
-                IssueResult::Hit { token }
-            }
-            Some(LineState::Shared) => {
-                // Upgrade in place: the line keeps its way and is pinned
-                // so it cannot be victimized mid-transaction (footnote 3).
-                if self.mshrs[proc].is_full() {
-                    return IssueResult::NoMshr;
-                }
-                if let Err(e) = self.caches[proc].pin(line) {
-                    self.fault_from_cache(proc, e);
-                    return IssueResult::NoMshr;
-                }
-                let txn = self.fresh_txn();
-                if let Err(e) = self.mshrs[proc].allocate(Mshr {
-                    txn,
-                    line,
-                    exclusive: true,
-                    prefetch_only: false,
-                    is_upgrade: true,
-                    issued_at: self.now,
-                    pending: vec![(token, op)],
-                }) {
-                    self.fault_from_mshr(proc, e);
-                    return IssueResult::NoMshr;
-                }
-                self.send_request(proc, line, ReqKind::GetExclusive, txn, false);
-                self.stats.demand_misses += 1;
-                IssueResult::Miss { txn, token }
-            }
-            None => self
-                .launch_fill(proc, addr, true, Some((token, op)))
-                .unwrap_or_else(|e| e),
-        }
-    }
-
-    /// Update-protocol write/RMW: a directory round trip; `rmw = None`
-    /// means a plain write of `value`, otherwise the RMW kind with
-    /// `value` as its operand.
-    fn issue_update_txn(
+    /// A demand served by the cache: a read, or (`exclusive`) an access
+    /// that needs ownership — a read-exclusive or an invalidation-protocol
+    /// write. It merges into an outstanding transaction for the line,
+    /// applies at issue on a hit, or opens a transaction; its op applies
+    /// atomically with the grant.
+    fn issue_cached(
         &mut self,
         proc: ProcId,
         addr: Addr,
-        rmw: Option<RmwKind>,
-        value: u64,
+        op: PendingOp,
+        exclusive: bool,
     ) -> IssueResult {
         let line = self.line_of(addr);
+        let token = self.fresh_token();
+        if let Some(m) = self.mshrs[proc].get_mut(line) {
+            if exclusive && !m.exclusive {
+                // A shared fill is in flight; the access must wait for it
+                // and then upgrade.
+                return IssueResult::WaitForFill { txn: m.txn };
+            }
+            if m.prefetch_only {
+                m.prefetch_only = false;
+                self.stats.prefetches_useful += 1;
+            }
+            m.pending.push((token, op));
+            self.stats.demand_merges += 1;
+            return IssueResult::Merged { txn: m.txn, token };
+        }
+        let Some((kind, hold)) = self.txn_needed(proc, line, exclusive) else {
+            if self.caches[proc].demand_touch(line) {
+                self.stats.prefetches_useful += 1;
+            }
+            self.apply_op(proc, token, op);
+            self.stats.demand_hits += 1;
+            return IssueResult::Hit { token };
+        };
+        match self.open_txn(proc, line, kind, hold, Some((token, op))) {
+            Ok(txn) => IssueResult::Miss { txn, token },
+            Err(refused) => refused,
+        }
+    }
+
+    /// The transaction an access to `line` needs, or `None` if the cached
+    /// copy already serves it. An `exclusive` access to a shared copy
+    /// upgrades it in place (the line keeps its way, pinned — footnote 3).
+    fn txn_needed(&self, proc: ProcId, line: LineAddr, exclusive: bool) -> Option<(ReqKind, Hold)> {
+        match self.caches[proc].state(line) {
+            Some(LineState::Exclusive) => None,
+            Some(LineState::Shared) if !exclusive => None,
+            Some(LineState::Shared) => Some((ReqKind::GetExclusive, Hold::Pin)),
+            None if exclusive => Some((ReqKind::GetExclusive, Hold::Reserve)),
+            None => Some((ReqKind::GetShared, Hold::Reserve)),
+        }
+    }
+
+    /// Update-protocol write/RMW: a directory round trip. Nothing is
+    /// written locally here: the writer's own copy takes the
+    /// directory-serialized value when [`ProcMsg::WriteDone`] arrives, and
+    /// until then the core's store buffer serves its own loads.
+    fn issue_update_txn(&mut self, proc: ProcId, op: WriteOp) -> IssueResult {
+        let line = self.line_of(op.addr);
         if let Some(m) = self.mshrs[proc].get(line) {
             // Serialize same-line transactions from one processor.
             return IssueResult::WaitForFill { txn: m.txn };
         }
+        // Checked before the token is taken: a refused update write
+        // consumes no token.
         if self.mshrs[proc].is_full() {
             return IssueResult::NoMshr;
         }
         let token = self.fresh_token();
-        let txn = self.fresh_txn();
-        let word_idx = (addr.offset(self.cfg.cache.block_bits) / 8) as usize;
-        let (kind, op) = match rmw {
-            None => {
-                // The writer's own copy is refreshed immediately (it is
-                // the writer's value); remote copies refresh at the
-                // directory's command.
-                self.caches[proc].update_word(addr, value);
-                (
-                    ReqKind::UpdateWrite { word_idx, value },
-                    PendingOp::Write { addr, value },
-                )
-            }
-            Some(k) => (
-                ReqKind::UpdateRmw {
-                    word_idx,
-                    kind: k,
-                    operand: value,
-                },
-                PendingOp::Rmw {
-                    addr,
-                    kind: k,
-                    operand: value,
-                },
-            ),
-        };
-        if let Err(e) = self.mshrs[proc].allocate(Mshr {
-            txn,
-            line,
-            exclusive: false,
-            prefetch_only: false,
-            is_upgrade: true, // no reserved way: nothing fills
-            issued_at: self.now,
-            pending: vec![(token, op)],
-        }) {
-            self.fault_from_mshr(proc, e);
-            return IssueResult::NoMshr;
+        let demand = Some((token, PendingOp::Write(op)));
+        match self.open_txn(proc, line, ReqKind::Update(op), Hold::Wayless, demand) {
+            Ok(txn) => IssueResult::Miss { txn, token },
+            Err(refused) => refused,
         }
-        self.send_request(proc, line, kind, txn, false);
-        self.stats.demand_misses += 1;
-        IssueResult::Miss { txn, token }
     }
 
-    /// Launches a fresh fill transaction. `Err` carries the resource
-    /// failure to return.
-    fn launch_fill(
+    /// Opens a transaction for `line` — the one place an MSHR is
+    /// allocated. Checks MSHR space, then holds a cache way as `hold`
+    /// says, then allocates the [`TxnId`] and the MSHR and sends the
+    /// request. `demand` is `None` for a prefetch. A refusal
+    /// (`NoMshr`/`SetFull`) allocates no id.
+    fn open_txn(
         &mut self,
         proc: ProcId,
-        addr: Addr,
-        exclusive: bool,
-        pending: Option<(DemandToken, PendingOp)>,
-    ) -> Result<IssueResult, IssueResult> {
-        let line = self.line_of(addr);
-        let is_prefetch = pending.is_none();
+        line: LineAddr,
+        kind: ReqKind,
+        hold: Hold,
+        demand: Option<(DemandToken, PendingOp)>,
+    ) -> Result<TxnId, IssueResult> {
         if self.mshrs[proc].is_full() {
             return Err(IssueResult::NoMshr);
         }
-        match self.caches[proc].reserve(line) {
-            Err(crate::cache::SetFull) => Err(IssueResult::SetFull),
-            Ok(evicted) => {
-                self.handle_eviction(proc, evicted);
-                let txn = self.fresh_txn();
-                let token = pending.as_ref().map(|(t, _)| *t);
-                if let Err(e) = self.mshrs[proc].allocate(Mshr {
-                    txn,
-                    line,
-                    exclusive,
-                    prefetch_only: is_prefetch,
-                    is_upgrade: false,
-                    issued_at: self.now,
-                    pending: pending.into_iter().collect(),
-                }) {
-                    self.fault_from_mshr(proc, e);
+        match hold {
+            Hold::Reserve => match self.caches[proc].reserve(line) {
+                Ok(evicted) => self.handle_eviction(proc, evicted),
+                Err(crate::cache::SetFull) => return Err(IssueResult::SetFull),
+            },
+            Hold::Pin => {
+                if let Err(e) = self.caches[proc].pin(line) {
+                    self.fault_from_cache(proc, e);
                     return Err(IssueResult::NoMshr);
                 }
-                let kind = if exclusive {
-                    ReqKind::GetExclusive
-                } else {
-                    ReqKind::GetShared
-                };
-                self.send_request(proc, line, kind, txn, is_prefetch);
-                if !is_prefetch {
-                    self.stats.demand_misses += 1;
-                }
-                Ok(IssueResult::Miss {
-                    txn,
-                    token: token.unwrap_or(DemandToken(0)),
-                })
             }
+            Hold::Wayless => {}
         }
+        let txn = self.fresh_txn();
+        let is_prefetch = demand.is_none();
+        if let Err(e) = self.mshrs[proc].allocate(Mshr {
+            txn,
+            line,
+            exclusive: kind == ReqKind::GetExclusive,
+            prefetch_only: is_prefetch,
+            // Nothing fills a way the transaction did not reserve.
+            is_upgrade: hold != Hold::Reserve,
+            issued_at: self.now,
+            pending: demand.into_iter().collect(),
+        }) {
+            self.fault_from_mshr(proc, e);
+            return Err(IssueResult::NoMshr);
+        }
+        self.send_request(proc, line, kind, txn, is_prefetch);
+        if is_prefetch {
+            self.stats.prefetches_issued += 1;
+        } else {
+            self.stats.demand_misses += 1;
+        }
+        Ok(txn)
     }
 
     /// Issues a non-binding prefetch: read (`exclusive = false`) or
@@ -799,63 +741,13 @@ impl MemorySystem {
             self.stats.prefetches_already_pending += 1;
             return PrefetchResult::AlreadyPending;
         }
-        match self.caches[proc].state(line) {
-            Some(LineState::Exclusive) => {
-                self.stats.prefetches_already_present += 1;
-                return PrefetchResult::AlreadyPresent;
-            }
-            Some(LineState::Shared) if !exclusive => {
-                self.stats.prefetches_already_present += 1;
-                return PrefetchResult::AlreadyPresent;
-            }
-            Some(LineState::Shared) => {
-                // Read-exclusive prefetch of a shared line: an upgrade.
-                // Pin the way for the duration (footnote 3).
-                if self.mshrs[proc].is_full() {
-                    self.stats.prefetches_no_resource += 1;
-                    return PrefetchResult::NoResource;
-                }
-                if let Err(e) = self.caches[proc].pin(line) {
-                    self.fault_from_cache(proc, e);
-                    self.stats.prefetches_no_resource += 1;
-                    return PrefetchResult::NoResource;
-                }
-                let txn = self.fresh_txn();
-                if let Err(e) = self.mshrs[proc].allocate(Mshr {
-                    txn,
-                    line,
-                    exclusive: true,
-                    prefetch_only: true,
-                    is_upgrade: true,
-                    issued_at: self.now,
-                    pending: Vec::new(),
-                }) {
-                    self.fault_from_mshr(proc, e);
-                    self.stats.prefetches_no_resource += 1;
-                    return PrefetchResult::NoResource;
-                }
-                self.send_request(proc, line, ReqKind::GetExclusive, txn, true);
-                self.stats.prefetches_issued += 1;
-                return PrefetchResult::Issued { txn };
-            }
-            None => {}
-        }
-        match self.launch_fill(proc, addr, exclusive, None) {
-            Ok(IssueResult::Miss { txn, .. }) => {
-                self.stats.prefetches_issued += 1;
-                PrefetchResult::Issued { txn }
-            }
-            Err(IssueResult::NoMshr | IssueResult::SetFull) => {
-                self.stats.prefetches_no_resource += 1;
-                PrefetchResult::NoResource
-            }
-            other => {
-                self.set_fault(SimError::protocol(
-                    self.now,
-                    Some(proc),
-                    Some(line.0),
-                    format!("launch_fill returned {other:?} for a prefetch"),
-                ));
+        let Some((kind, hold)) = self.txn_needed(proc, line, exclusive) else {
+            self.stats.prefetches_already_present += 1;
+            return PrefetchResult::AlreadyPresent;
+        };
+        match self.open_txn(proc, line, kind, hold, None) {
+            Ok(txn) => PrefetchResult::Issued { txn },
+            Err(_) => {
                 self.stats.prefetches_no_resource += 1;
                 PrefetchResult::NoResource
             }
@@ -1210,16 +1102,28 @@ impl MemorySystem {
         Some(msg)
     }
 
-    /// Attributes a completed transaction's issue-to-completion latency to
-    /// its most demanding merged operation: RMW > write > read; a
-    /// transaction that completed with nothing merged in was a pure
-    /// prefetch.
-    fn record_txn_latency(&mut self, m: &Mshr) {
+    /// Closes `proc`'s transaction for `line` on its response and
+    /// records its latency. `None` (with a fault recorded) if no MSHR was
+    /// outstanding.
+    fn complete_txn(&mut self, proc: ProcId, txn: TxnId, line: LineAddr) -> Option<Mshr> {
+        let Some(m) = self.mshrs[proc].complete(line) else {
+            self.set_fault(SimError::protocol(
+                self.now,
+                Some(proc),
+                Some(line.0),
+                format!("response for {line} without an outstanding MSHR"),
+            ));
+            return None;
+        };
+        debug_assert_eq!(m.txn, txn);
+        // The latency is attributed to the most demanding merged
+        // operation: RMW > write > read; a transaction that completed with
+        // nothing merged in was a pure prefetch.
         let latency = self.now.saturating_sub(m.issued_at);
         let ops = |f: fn(&PendingOp) -> bool| m.pending.iter().any(|(_, op)| f(op));
-        let h = if ops(|op| matches!(op, PendingOp::Rmw { .. })) {
+        let h = if ops(|op| matches!(op, PendingOp::Write(w) if w.rmw.is_some())) {
             &mut self.stats.rmw_txn_latency
-        } else if ops(|op| matches!(op, PendingOp::Write { .. })) {
+        } else if ops(|op| matches!(op, PendingOp::Write(_))) {
             &mut self.stats.write_txn_latency
         } else if !m.pending.is_empty() {
             &mut self.stats.read_txn_latency
@@ -1227,6 +1131,35 @@ impl MemorySystem {
             &mut self.stats.prefetch_txn_latency
         };
         h.record(latency);
+        Some(m)
+    }
+
+    /// Tells `proc`'s core its transaction completed.
+    fn publish_done(&mut self, proc: ProcId, txn: TxnId, line: LineAddr, exclusive: bool) {
+        self.emit(
+            proc,
+            TraceKind::Deliver {
+                line,
+                txn: txn.0,
+                exclusive,
+            },
+        );
+        self.outbox[proc].push(MemEvent::Done {
+            txn,
+            line,
+            exclusive,
+        });
+    }
+
+    /// Tells `proc`'s core it lost `line` (or, on a read-flush, its
+    /// exclusive hold): the trace event and the coherence hazard.
+    /// `counted` adds it to the delivered-invalidation statistic.
+    fn publish_invalidated(&mut self, proc: ProcId, line: LineAddr, counted: bool) {
+        if counted {
+            self.stats.invalidations_delivered += 1;
+        }
+        self.emit(proc, TraceKind::Invalidation { line });
+        self.outbox[proc].push(MemEvent::Invalidated { line });
     }
 
     fn deliver(&mut self, proc: ProcId, msg: ProcMsg) {
@@ -1240,17 +1173,9 @@ impl MemorySystem {
                 exclusive,
                 data,
             } => {
-                let Some(m) = self.mshrs[proc].complete(line) else {
-                    self.set_fault(SimError::protocol(
-                        self.now,
-                        Some(proc),
-                        Some(line.0),
-                        format!("fill for {line} without an outstanding MSHR"),
-                    ));
+                let Some(m) = self.complete_txn(proc, txn, line) else {
                     return;
                 };
-                debug_assert_eq!(m.txn, txn);
-                self.record_txn_latency(&m);
                 let state = if exclusive {
                     LineState::Exclusive
                 } else {
@@ -1264,55 +1189,28 @@ impl MemorySystem {
                 for (token, op) in m.pending {
                     self.apply_op(proc, token, op);
                 }
-                self.emit(
-                    proc,
-                    TraceKind::Deliver {
-                        line,
-                        txn: txn.0,
-                        exclusive,
-                    },
-                );
-                self.outbox[proc].push(MemEvent::Done {
-                    txn,
-                    line,
-                    exclusive,
-                });
+                self.publish_done(proc, txn, line, exclusive);
             }
-            ProcMsg::WriteDone { txn, line, rmw } => {
-                let Some(m) = self.mshrs[proc].complete(line) else {
-                    self.set_fault(SimError::protocol(
-                        self.now,
-                        Some(proc),
-                        Some(line.0),
-                        format!("write-done for {line} without an outstanding MSHR"),
-                    ));
+            ProcMsg::WriteDone {
+                txn,
+                line,
+                addr,
+                old,
+                new,
+            } => {
+                let Some(m) = self.complete_txn(proc, txn, line) else {
                     return;
                 };
-                debug_assert_eq!(m.txn, txn);
-                self.record_txn_latency(&m);
-                if let Some((addr, old, new)) = rmw {
-                    // Bind the RMW's old value to its token and refresh
-                    // the local copy.
-                    for (token, op) in &m.pending {
-                        if matches!(op, PendingOp::Rmw { .. }) {
-                            self.bound_values.insert(*token, old);
-                        }
+                // The writer's copy takes the value in the directory's
+                // order: a remote write serialized earlier has already
+                // landed, one serialized later lands after this.
+                self.caches[proc].update_word(addr, new);
+                for (token, op) in m.pending {
+                    if matches!(op, PendingOp::Write(w) if w.rmw.is_some()) {
+                        self.bound_values.insert(token, old);
                     }
-                    self.caches[proc].update_word(addr, new);
                 }
-                self.emit(
-                    proc,
-                    TraceKind::Deliver {
-                        line,
-                        txn: txn.0,
-                        exclusive: false,
-                    },
-                );
-                self.outbox[proc].push(MemEvent::Done {
-                    txn,
-                    line,
-                    exclusive: false,
-                });
+                self.publish_done(proc, txn, line, false);
             }
             ProcMsg::Invalidate { line } => {
                 // An in-flight upgrade keeps its slot: the way becomes a
@@ -1329,29 +1227,21 @@ impl MemorySystem {
                     } else {
                         self.caches[proc].invalidate(line);
                     }
-                    self.stats.invalidations_delivered += 1;
-                    self.emit(proc, TraceKind::Invalidation { line });
-                    self.outbox[proc].push(MemEvent::Invalidated { line });
+                    self.publish_invalidated(proc, line, true);
                 }
             }
             ProcMsg::Flush { line, share, req } => {
-                let hop = self.cfg.timings.hop;
+                // A read-flush keeps a shared copy and is not counted as
+                // an invalidation.
                 let data = if share {
-                    let d = self.caches[proc].downgrade(line);
-                    if d.is_some() {
-                        self.emit(proc, TraceKind::Invalidation { line });
-                        self.outbox[proc].push(MemEvent::Invalidated { line });
-                    }
-                    d
+                    self.caches[proc].downgrade(line)
                 } else {
-                    let d = self.caches[proc].invalidate(line);
-                    if d.is_some() {
-                        self.stats.invalidations_delivered += 1;
-                        self.emit(proc, TraceKind::Invalidation { line });
-                        self.outbox[proc].push(MemEvent::Invalidated { line });
-                    }
-                    d
+                    self.caches[proc].invalidate(line)
                 };
+                if data.is_some() {
+                    self.publish_invalidated(proc, line, !share);
+                }
+                let hop = self.cfg.timings.hop;
                 self.schedule(self.now + hop, Action::FlushBack { req, data });
             }
             ProcMsg::Update { addr, value } => {
@@ -1375,7 +1265,7 @@ impl MemorySystem {
             self.stats.flushes += 1;
         }
         let line_data = self.dir.mem_line(req.line);
-        let exclusive = matches!(req.kind, ReqKind::GetExclusive);
+        let exclusive = req.kind == ReqKind::GetExclusive;
         self.schedule(
             self.now + t.svc + t.hop,
             Action::Deliver {
@@ -1486,10 +1376,11 @@ impl MemorySystem {
                     self.busy_for(req.line, ts + 2 * t.hop + t.svc);
                 }
             }
-            ReqKind::UpdateWrite { word_idx, value } => {
-                let addr = Addr((req.line.0 << self.cfg.cache.block_bits) + (word_idx as u64) * 8);
-                self.dir.write_mem_word(addr, value);
-                let send = self.fan_out_updates(&req, state, addr, value, ts);
+            ReqKind::Update(w) => {
+                let old = self.dir.read_mem_word(w.addr);
+                let new = w.new_value(old);
+                self.dir.write_mem_word(w.addr, new);
+                let send = self.fan_out_updates(&req, state, w.addr, new, ts);
                 self.schedule(
                     send + t.hop,
                     Action::Deliver {
@@ -1497,30 +1388,9 @@ impl MemorySystem {
                         msg: ProcMsg::WriteDone {
                             txn: req.txn,
                             line: req.line,
-                            rmw: None,
-                        },
-                    },
-                );
-                self.busy_for(req.line, send);
-            }
-            ReqKind::UpdateRmw {
-                word_idx,
-                kind,
-                operand,
-            } => {
-                let addr = Addr((req.line.0 << self.cfg.cache.block_bits) + (word_idx as u64) * 8);
-                let old = self.dir.read_mem_word(addr);
-                let new = kind.new_value(old, operand);
-                self.dir.write_mem_word(addr, new);
-                let send = self.fan_out_updates(&req, state, addr, new, ts);
-                self.schedule(
-                    send + t.hop,
-                    Action::Deliver {
-                        proc: req.proc,
-                        msg: ProcMsg::WriteDone {
-                            txn: req.txn,
-                            line: req.line,
-                            rmw: Some((addr, old, new)),
+                            addr: w.addr,
+                            old,
+                            new,
                         },
                     },
                 );
@@ -1744,7 +1614,7 @@ mod tests {
     fn write_miss_applies_store_at_grant() {
         let mut s = sys(1);
         s.tick(0);
-        let r = s.issue_demand_write(0, A, 5);
+        let r = s.issue_demand_write(0, A, None, 5);
         assert!(matches!(r, IssueResult::Miss { .. }));
         let (cycle, ev) = run_until_event(&mut s, 0, 200);
         assert_eq!(cycle, 100);
@@ -1763,7 +1633,8 @@ mod tests {
         let mut s = sys(1);
         s.write_initial(A, 0);
         s.tick(0);
-        let IssueResult::Miss { token, .. } = s.issue_demand_rmw(0, A, RmwKind::TestAndSet, 0)
+        let IssueResult::Miss { token, .. } =
+            s.issue_demand_write(0, A, Some(RmwKind::TestAndSet), 0)
         else {
             panic!()
         };
@@ -1805,7 +1676,7 @@ mod tests {
             panic!()
         };
         s.tick(1);
-        let r = s.issue_demand_write(0, A, 9);
+        let r = s.issue_demand_write(0, A, None, 9);
         assert!(matches!(r, IssueResult::Merged { txn: t, .. } if t == txn));
         let _ = run_until_event(&mut s, 0, 200);
         assert_eq!(s.read_coherent(A), 9);
@@ -1857,7 +1728,7 @@ mod tests {
         let _ = s.issue_demand_read(1, A); // proc 1 caches A shared
         let _ = run_until_event(&mut s, 1, 200);
         // Proc 0 writes A: needs exclusivity, must invalidate proc 1.
-        let _ = s.issue_demand_write(0, A, 9);
+        let _ = s.issue_demand_write(0, A, None, 9);
         let (cycle, ev) = run_until_event(&mut s, 0, 400);
         // Extra invalidation round trip: 198 total after issue at 100.
         assert_eq!(cycle, 100 + 198);
@@ -1878,7 +1749,7 @@ mod tests {
     fn read_of_remote_dirty_line_flushes_owner() {
         let mut s = sys(2);
         s.tick(0);
-        let _ = s.issue_demand_write(0, A, 77);
+        let _ = s.issue_demand_write(0, A, None, 77);
         let _ = run_until_event(&mut s, 0, 200);
         // Proc 1 reads A: dirty at proc 0 → flush.
         let t0 = s.now();
@@ -1913,7 +1784,7 @@ mod tests {
         let _ = s.issue_demand_read(0, A);
         let _ = run_until_event(&mut s, 0, 200);
         let t0 = s.now();
-        let r = s.issue_demand_write(0, A, 1);
+        let r = s.issue_demand_write(0, A, None, 1);
         assert!(
             matches!(r, IssueResult::Miss { .. }),
             "upgrade is a transaction"
@@ -1941,7 +1812,7 @@ mod tests {
         let IssueResult::Miss { txn, .. } = s.issue_demand_read(0, A) else {
             panic!()
         };
-        let r = s.issue_demand_write(0, A, 1);
+        let r = s.issue_demand_write(0, A, None, 1);
         assert_eq!(r, IssueResult::WaitForFill { txn });
     }
 
@@ -1975,7 +1846,7 @@ mod tests {
         cfg.cache.ways = 1;
         let mut s = MemorySystem::new(cfg, 1);
         s.tick(0);
-        let _ = s.issue_demand_write(0, Addr(0), 42);
+        let _ = s.issue_demand_write(0, Addr(0), None, 42);
         let _ = run_until_event(&mut s, 0, 200);
         // Next fill evicts the dirty line; memory must see 42.
         let _ = s.issue_demand_read(0, Addr(64));
@@ -1995,7 +1866,7 @@ mod tests {
         let _ = s.issue_demand_read(1, A);
         let _ = run_until_event(&mut s, 1, 200);
         let t0 = s.now();
-        let r = s.issue_demand_write(0, A, 9);
+        let r = s.issue_demand_write(0, A, None, 9);
         assert!(matches!(r, IssueResult::Miss { .. }));
         let (cycle, _) = run_until_event(&mut s, 0, 400);
         assert_eq!(cycle - t0, 198, "update write waits for remote acks");
@@ -2033,13 +1904,123 @@ mod tests {
         let mut s = MemorySystem::new(cfg, 1);
         s.write_initial(A, 0);
         s.tick(0);
-        let IssueResult::Miss { token, .. } = s.issue_demand_rmw(0, A, RmwKind::TestAndSet, 0)
+        let IssueResult::Miss { token, .. } =
+            s.issue_demand_write(0, A, Some(RmwKind::TestAndSet), 0)
         else {
             panic!()
         };
         let _ = run_until_event(&mut s, 0, 200);
         assert_eq!(s.take_bound_value(token), Some(0));
         assert_eq!(s.read_coherent(A), 1);
+    }
+
+    #[test]
+    fn update_protocol_writer_copy_takes_the_directory_order() {
+        // Both processors share A under the update protocol. P1's write
+        // reaches the directory first, so P0's is serialized last and its
+        // value is the coherent one. P0's own copy must end with it even
+        // though P1's update lands at P0 after P0 issued its write.
+        let mut cfg = MemConfig::paper();
+        cfg.protocol = Protocol::Update;
+        let mut s = MemorySystem::new(cfg, 2);
+        s.write_initial(A, 1);
+        s.tick(0);
+        let _ = s.issue_demand_read(0, A);
+        let _ = s.issue_demand_read(1, A);
+        let _ = run_until_event(&mut s, 0, 200);
+        let _ = run_until_event(&mut s, 1, 200);
+        let t0 = s.now() + 1;
+        s.tick(t0);
+        assert!(matches!(
+            s.issue_demand_write(1, A, None, 20),
+            IssueResult::Miss { .. }
+        ));
+        s.tick(t0 + 1);
+        assert!(matches!(
+            s.issue_demand_write(0, A, None, 10),
+            IssueResult::Miss { .. }
+        ));
+        let mut done = 0;
+        for c in t0 + 2..t0 + 900 {
+            s.tick(c);
+            for p in 0..2 {
+                done += s
+                    .events(p)
+                    .iter()
+                    .filter(|e| matches!(e, MemEvent::Done { .. }))
+                    .count();
+            }
+        }
+        assert_eq!(done, 2, "both writes completed");
+        assert_eq!(s.read_coherent(A), 10, "P0's write was serialized last");
+        for p in 0..2 {
+            assert_eq!(
+                s.read_word(p, A),
+                Ok(s.read_coherent(A)),
+                "proc {p}'s copy disagrees with the directory's order"
+            );
+        }
+    }
+
+    #[test]
+    fn refused_transactions_allocate_no_txn_id() {
+        // Every refusal leaves the id counter alone: the next successful
+        // transaction gets the id it would have had without them.
+        let next_txn = |r: IssueResult| match r {
+            IssueResult::Miss { txn, .. } => txn,
+            other => panic!("expected a miss, got {other:?}"),
+        };
+        // NoMshr, for demands and prefetches alike.
+        let mut cfg = MemConfig::paper();
+        cfg.mshrs = 1;
+        let mut s = MemorySystem::new(cfg, 1);
+        s.tick(0);
+        assert_eq!(next_txn(s.issue_demand_read(0, A)), TxnId(1));
+        assert_eq!(s.issue_demand_read(0, B), IssueResult::NoMshr);
+        assert_eq!(s.issue_demand_write(0, B, None, 1), IssueResult::NoMshr);
+        assert_eq!(s.issue_prefetch(0, B, true), PrefetchResult::NoResource);
+        // WaitForFill: a write behind the shared fill in flight.
+        assert_eq!(
+            s.issue_demand_write(0, A, None, 1),
+            IssueResult::WaitForFill { txn: TxnId(1) }
+        );
+        let _ = run_until_event(&mut s, 0, 200);
+        assert_eq!(next_txn(s.issue_demand_read(0, B)), TxnId(2));
+
+        // SetFull: the only way is reserved for the fill in flight.
+        let mut cfg = MemConfig::paper();
+        cfg.cache.sets = 1;
+        cfg.cache.ways = 1;
+        let mut s = MemorySystem::new(cfg, 1);
+        s.tick(0);
+        assert_eq!(next_txn(s.issue_demand_read(0, Addr(0))), TxnId(1));
+        assert_eq!(s.issue_demand_read(0, Addr(64)), IssueResult::SetFull);
+        assert_eq!(
+            s.issue_demand_write(0, Addr(64), Some(RmwKind::TestAndSet), 0),
+            IssueResult::SetFull
+        );
+        assert_eq!(
+            s.issue_prefetch(0, Addr(64), false),
+            PrefetchResult::NoResource
+        );
+        let _ = run_until_event(&mut s, 0, 200);
+        assert_eq!(next_txn(s.issue_demand_read(0, Addr(64))), TxnId(2));
+
+        // The update protocol's write path: WaitForFill and NoMshr.
+        let mut cfg = MemConfig::paper();
+        cfg.protocol = Protocol::Update;
+        cfg.mshrs = 1;
+        let mut s = MemorySystem::new(cfg, 1);
+        s.tick(0);
+        assert_eq!(next_txn(s.issue_demand_write(0, A, None, 1)), TxnId(1));
+        assert_eq!(
+            s.issue_demand_write(0, A, None, 2),
+            IssueResult::WaitForFill { txn: TxnId(1) }
+        );
+        assert_eq!(s.issue_demand_write(0, B, None, 2), IssueResult::NoMshr);
+        assert_eq!(s.issue_prefetch(0, B, false), PrefetchResult::NoResource);
+        let _ = run_until_event(&mut s, 0, 200);
+        assert_eq!(next_txn(s.issue_demand_write(0, B, None, 2)), TxnId(2));
     }
 
     #[test]
@@ -2056,8 +2037,8 @@ mod tests {
         // invalidating the other's copy while its upgrade is in flight;
         // the loser must receive a full data fill (with the winner's
         // value flushed through) and apply its own store on top.
-        let r0 = s.issue_demand_write(0, A, 10);
-        let r1 = s.issue_demand_write(1, A, 20);
+        let r0 = s.issue_demand_write(0, A, None, 10);
+        let r1 = s.issue_demand_write(1, A, None, 20);
         assert!(matches!(r0, IssueResult::Miss { .. }));
         assert!(matches!(r1, IssueResult::Miss { .. }));
         let mut grants = Vec::new();
@@ -2108,8 +2089,8 @@ mod tests {
         let mut s = sys(2);
         s.tick(0);
         // Both processors write-miss the same line in the same cycle.
-        let _ = s.issue_demand_write(0, A, 1);
-        let _ = s.issue_demand_write(1, A, 2);
+        let _ = s.issue_demand_write(0, A, None, 1);
+        let _ = s.issue_demand_write(1, A, None, 2);
         let mut grants = Vec::new();
         for c in 1..=800 {
             s.tick(c);
@@ -2148,7 +2129,7 @@ mod tests {
         let _ = s.issue_demand_read(1, A);
         let _ = run_until_event(&mut s, 1, 200);
         let t0 = s.now();
-        let _ = s.issue_demand_write(0, A, 9);
+        let _ = s.issue_demand_write(0, A, None, 9);
         let (cycle, ev) = run_until_event(&mut s, 0, 400);
         assert_eq!(
             cycle - t0,
@@ -2171,7 +2152,7 @@ mod tests {
     fn snapshot_reflects_exclusive_cached_values() {
         let mut s = sys(1);
         s.tick(0);
-        let _ = s.issue_demand_write(0, A, 5);
+        let _ = s.issue_demand_write(0, A, None, 5);
         let _ = run_until_event(&mut s, 0, 200);
         // The dirty value lives only in the cache; the snapshot must
         // still see it.
@@ -2192,7 +2173,7 @@ mod tests {
         let _ = s.issue_demand_read(0, Addr(0));
         let _ = run_until_event(&mut s, 0, 200);
         // Upgrade in flight pins the line.
-        let r = s.issue_demand_write(0, Addr(0), 1);
+        let r = s.issue_demand_write(0, Addr(0), None, 1);
         assert!(matches!(r, IssueResult::Miss { .. }));
         assert_eq!(s.issue_demand_read(0, Addr(64)), IssueResult::SetFull);
         let (_, ev) = run_until_event(&mut s, 0, 300);
@@ -2220,7 +2201,7 @@ mod tests {
         cfg.cache.ways = 1;
         let mut s = MemorySystem::new(cfg, 2);
         s.tick(0);
-        let _ = s.issue_demand_write(0, A, 77);
+        let _ = s.issue_demand_write(0, A, None, 77);
         let _ = run_until_event(&mut s, 0, 200);
         // Proc 1 reads A (flush heads toward proc 0)...
         let IssueResult::Miss { token, .. } = s.issue_demand_read(1, A) else {
@@ -2268,7 +2249,7 @@ mod tests {
         s.write_initial(A, 1);
         s.tick(0);
         let _ = s.issue_demand_read(1, A);
-        let _ = s.issue_demand_write(0, B, 5);
+        let _ = s.issue_demand_write(0, B, None, 5);
         for c in 1..=400 {
             s.tick(c);
             let _ = s.events(0);
@@ -2277,8 +2258,8 @@ mod tests {
                 .unwrap_or_else(|e| panic!("cycle {c}: {e}"));
         }
         // Contended upgrade race, checked every cycle.
-        let _ = s.issue_demand_write(0, A, 10);
-        let _ = s.issue_demand_write(1, A, 20);
+        let _ = s.issue_demand_write(0, A, None, 10);
+        let _ = s.issue_demand_write(1, A, None, 20);
         for c in 401..=1200 {
             s.tick(c);
             let _ = s.events(0);
@@ -2301,7 +2282,7 @@ mod tests {
         let _ = run_until_event(&mut s, 1, 200);
         s.arm_fault(FaultKind::DropInvalidation { nth: 1 });
         let t0 = s.now();
-        let _ = s.issue_demand_write(0, A, 9);
+        let _ = s.issue_demand_write(0, A, None, 9);
         let (cycle, err) = run_until_violation(&mut s, 400);
         assert_eq!(
             cycle - t0,
@@ -2416,7 +2397,7 @@ mod tests {
         s.tick(0);
         let _ = s.issue_demand_read(1, A);
         let _ = run_until_event(&mut s, 1, 200);
-        let _ = s.issue_demand_write(0, A, 9);
+        let _ = s.issue_demand_write(0, A, None, 9);
         let mut inval_at = None;
         let mut grant_at = None;
         for c in s.now() + 1..s.now() + 400 {

@@ -1,7 +1,7 @@
 //! The abstract machine behind the oracle: canonical states, the greedy
 //! fetch closure, the per-model perform rule, and the memoized search.
 
-use crate::{OracleConfig, OracleResult, Outcome};
+use crate::{OracleConfig, OracleError, OracleResult, Outcome};
 use mcsim_consistency::{AccessClass, Model};
 use mcsim_isa::{AddrExpr, AluOp, Instr, Operand, Program, RmwKind, NUM_REGS};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -128,16 +128,26 @@ impl ProcState {
         }
     }
 
-    /// Evaluates an address expression; `None` while its index register
-    /// is still a pending tag.
-    fn addr(&self, a: &AddrExpr) -> Option<u64> {
-        if let Some(r) = a.dep() {
-            self.regs[r.index()].concrete()?;
+    /// Evaluates a word address expression; `Ok(None)` while its index
+    /// register is still a pending tag, `Err` if the address is not
+    /// 8-byte aligned.
+    fn addr(&self, proc: usize, a: &AddrExpr) -> Result<Option<u64>, OracleError> {
+        let index = match a.dep() {
+            Some(r) => match self.regs[r.index()].concrete() {
+                Some(v) => v,
+                None => return Ok(None),
+            },
+            None => 0,
+        };
+        let addr = a.eval(|_| index);
+        if !addr.is_aligned() {
+            return Err(OracleError::Misaligned {
+                proc,
+                pc: self.pc,
+                addr: addr.0,
+            });
         }
-        Some(
-            a.eval(|r| self.regs[r.index()].concrete().expect("checked above"))
-                .0,
-        )
+        Ok(Some(addr.0))
     }
 
     fn push(&mut self, e: Entry) -> u8 {
@@ -190,14 +200,15 @@ impl ProcState {
 
     /// Greedy instantaneous fetch: executes/enqueues instructions in
     /// program order until a halt, a branch on a pending value, or an
-    /// address that depends on a pending value.
-    fn fetch_closure(&mut self, prog: &Program) {
+    /// address that depends on a pending value. `proc` names this
+    /// processor in a misaligned-address error.
+    fn fetch_closure(&mut self, proc: usize, prog: &Program) -> Result<(), OracleError> {
         loop {
             let Some(instr) = prog.fetch(self.pc as usize) else {
-                return;
+                return Ok(());
             };
             match instr {
-                Instr::Halt => return,
+                Instr::Halt => return Ok(()),
                 Instr::Nop | Instr::Prefetch { .. } => self.pc += 1,
                 Instr::Jump { target } => self.pc = *target,
                 Instr::Alu {
@@ -224,7 +235,7 @@ impl ProcState {
                     let (Some(a), Some(b)) =
                         (self.operand(lhs).concrete(), self.operand(rhs).concrete())
                     else {
-                        return; // blocked on a pending condition
+                        return Ok(()); // blocked on a pending condition
                     };
                     self.pc = if cond.apply(a, b) {
                         *target
@@ -233,14 +244,18 @@ impl ProcState {
                     };
                 }
                 Instr::Load { dst, addr, .. } => {
-                    let Some(a) = self.addr(addr) else { return };
+                    let Some(a) = self.addr(proc, addr)? else {
+                        return Ok(());
+                    };
                     let class = AccessClass::of_instr(instr).expect("load is a memory access");
                     let tag = self.push(Entry::Load { addr: a, class });
                     self.regs[dst.index()] = Val::T(tag);
                     self.pc += 1;
                 }
                 Instr::Store { addr, src, .. } => {
-                    let Some(a) = self.addr(addr) else { return };
+                    let Some(a) = self.addr(proc, addr)? else {
+                        return Ok(());
+                    };
                     let class = AccessClass::of_instr(instr).expect("store is a memory access");
                     let data = self.operand(src);
                     self.push(Entry::Store {
@@ -257,7 +272,9 @@ impl ProcState {
                     src,
                     ..
                 } => {
-                    let Some(a) = self.addr(addr) else { return };
+                    let Some(a) = self.addr(proc, addr)? else {
+                        return Ok(());
+                    };
                     let class = AccessClass::of_instr(instr).expect("rmw is a memory access");
                     let src = self.operand(src);
                     let tag = self.push(Entry::Rmw {
@@ -324,7 +341,7 @@ fn may_perform(model: Model, q: &[Entry], i: usize) -> bool {
 /// Performs pending entry `i` of processor `p`, producing the successor
 /// state (atomic read/write of the single shared memory, tag resolution,
 /// ALU cascade, then resumed fetch).
-fn perform(st: &State, programs: &[Program], p: usize, i: usize) -> State {
+fn perform(st: &State, programs: &[Program], p: usize, i: usize) -> Result<State, OracleError> {
     let mut next = st.clone();
     let entry = next.procs[p].pending[i].clone();
     match entry {
@@ -348,8 +365,8 @@ fn perform(st: &State, programs: &[Program], p: usize, i: usize) -> State {
         Entry::Alu { .. } => unreachable!("ALU entries are never chosen to perform"),
     }
     next.procs[p].cascade();
-    next.procs[p].fetch_closure(&programs[p]);
-    next
+    next.procs[p].fetch_closure(p, &programs[p])?;
+    Ok(next)
 }
 
 /// Exhaustive memoized DFS over the abstract machine's state graph.
@@ -363,8 +380,15 @@ pub(crate) fn enumerate(
         procs: (0..programs.len()).map(|_| ProcState::new()).collect(),
         mem: init_mem.iter().map(|(&a, &v)| (a, v)).collect(),
     };
+    let stopped = |error| OracleResult {
+        outcomes: BTreeSet::new(),
+        complete: false,
+        error: Some(error),
+    };
     for (p, prog) in programs.iter().enumerate() {
-        start.procs[p].fetch_closure(prog);
+        if let Err(e) = start.procs[p].fetch_closure(p, prog) {
+            return stopped(e);
+        }
     }
     let mut visited: HashSet<State> = HashSet::new();
     let mut outcomes = BTreeSet::new();
@@ -381,7 +405,10 @@ pub(crate) fn enumerate(
             for i in 0..st.procs[p].pending.len() {
                 if may_perform(model, &st.procs[p].pending, i) {
                     terminal = false;
-                    let next = perform(&st, programs, p, i);
+                    let next = match perform(&st, programs, p, i) {
+                        Ok(next) => next,
+                        Err(e) => return stopped(e),
+                    };
                     if visited.insert(next.clone()) {
                         stack.push(next);
                     }
@@ -413,7 +440,11 @@ pub(crate) fn enumerate(
             });
         }
     }
-    OracleResult { outcomes, complete }
+    OracleResult {
+        outcomes,
+        complete,
+        error: None,
+    }
 }
 
 #[cfg(test)]

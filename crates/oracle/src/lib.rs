@@ -105,10 +105,44 @@ impl Outcome {
 pub struct OracleResult {
     /// Reachable final states.
     pub outcomes: BTreeSet<Outcome>,
-    /// Whether the state space was exhausted (false = `max_states` hit;
-    /// the outcome set is a subset).
+    /// Whether the state space was exhausted. This is the one failure
+    /// signal: when false, the outcome set is a subset, and [`Self::error`]
+    /// says whether the program was at fault or `max_states` was hit.
     pub complete: bool,
+    /// The program's fault that stopped the enumeration; `None` when it
+    /// ran out of `max_states`. Only ever set together with
+    /// `complete: false`, so callers check `complete` alone and read this
+    /// to report why.
+    pub error: Option<OracleError>,
 }
+
+/// A program the oracle cannot enumerate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OracleError {
+    /// A load, store or RMW computed a word address that is not 8-byte
+    /// aligned (static ones already fail program validation).
+    Misaligned {
+        /// The processor.
+        proc: usize,
+        /// The instruction.
+        pc: u32,
+        /// The computed byte address.
+        addr: u64,
+    },
+}
+
+impl std::fmt::Display for OracleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OracleError::Misaligned { proc, pc, addr } => write!(
+                f,
+                "proc {proc} pc {pc}: computed address {addr:#x} is not 8-byte aligned"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for OracleError {}
 
 /// Enumerates every final state of `programs` allowed under `model`,
 /// starting from the given initial memory image.

@@ -1098,6 +1098,16 @@ impl Processor {
         let mut retired = 0u64;
         while let Some(head) = self.rob.head() {
             let seq = head.seq;
+            if let Some(a) = head
+                .addr
+                .filter(|a| !a.is_aligned() && head.instr.word_addr().is_some())
+            {
+                // Reached only on the committed path: dispatch kept the
+                // access out of every buffer, and a squash would have
+                // discarded it with its entry.
+                self.set_fault(SimError::misaligned(now, Some(self.id), a.0, head.pc));
+                break;
+            }
             let retire = match &head.instr {
                 Instr::Nop | Instr::Jump { .. } => true,
                 Instr::Halt => true,
@@ -1261,17 +1271,43 @@ impl Processor {
                 break; // in-order: stall behind an unresolved address/data
             }
             let instr = e.instr.clone();
+            let (Instr::Load { addr, .. }
+            | Instr::Store { addr, .. }
+            | Instr::Rmw { addr, .. }
+            | Instr::Prefetch { addr, .. }) = &instr
+            else {
+                // The fetch stage only queues memory ops; anything else
+                // here is a dispatch-bookkeeping breach. Drop it and
+                // report, rather than unwinding mid-cycle.
+                self.set_fault(SimError::protocol(
+                    now,
+                    Some(self.id),
+                    None,
+                    format!("non-memory instruction {instr:?} in the address queue"),
+                ));
+                self.addr_queue.pop_front();
+                continue;
+            };
+            let a = addr.eval(|_| e.src1.and_then(|s| s.value()).expect("index operand ready"));
+            // Store data or RMW operand.
+            let data = e.src2.and_then(|s| s.value());
+            {
+                let e = self.rob.entry_mut(seq).expect("present");
+                e.addr = Some(a);
+                e.dispatched = true;
+            }
+            self.addr_queue.pop_front();
+            self.progress = true;
+            if instr.word_addr().is_some() && !a.is_aligned() {
+                // A program error. The access enters no buffer and fails
+                // the run only when it commits, so a squash discards a
+                // wrong-path one (`stage_commit`).
+                continue;
+            }
             // Software prefetches carry no ordering class.
             let class = AccessClass::of_instr(&instr).unwrap_or(AccessClass::LOAD);
             match instr {
-                Instr::Load { addr, .. } => {
-                    let src1 = e.src1.and_then(|s| s.value());
-                    let a = addr.eval(|_| src1.expect("index operand ready"));
-                    {
-                        let e = self.rob.entry_mut(seq).expect("present");
-                        e.addr = Some(a);
-                        e.dispatched = true;
-                    }
+                Instr::Load { .. } => {
                     if self.cfg.techniques.speculative_loads {
                         self.push_spec_entry(now, mem, seq, a, class, None);
                     }
@@ -1293,21 +1329,13 @@ impl Processor {
                         },
                     );
                 }
-                Instr::Store { addr, .. } => {
-                    let src1 = e.src1.and_then(|s| s.value());
-                    let a = addr.eval(|_| src1.expect("index operand ready"));
-                    let value = e.src2_value();
-                    {
-                        let e = self.rob.entry_mut(seq).expect("present");
-                        e.addr = Some(a);
-                        e.dispatched = true;
-                        e.in_store_buffer = true;
-                    }
+                Instr::Store { .. } => {
+                    self.rob.entry_mut(seq).expect("present").in_store_buffer = true;
                     self.sb.push(SbEntry {
                         seq,
                         class,
                         addr: a,
-                        value,
+                        value: data.expect("store data ready"),
                         rmw: None,
                         rob_released: false,
                         state: SbState::Waiting,
@@ -1323,17 +1351,10 @@ impl Processor {
                         },
                     );
                 }
-                Instr::Rmw { addr, kind, .. } => {
-                    let src1 = e.src1.and_then(|s| s.value());
-                    let a = addr.eval(|_| src1.expect("index operand ready"));
-                    let operand = e.src2_value();
+                Instr::Rmw { kind, .. } => {
+                    let operand = data.expect("RMW operand ready");
                     let split = self.split_rmw(mem);
-                    {
-                        let e = self.rob.entry_mut(seq).expect("present");
-                        e.addr = Some(a);
-                        e.dispatched = true;
-                        e.in_store_buffer = split;
-                    }
+                    self.rob.entry_mut(seq).expect("present").in_store_buffer = split;
                     if split {
                         // Appendix A: speculative read-exclusive load +
                         // the buffered atomic. The spec entry's store tag
@@ -1387,32 +1408,12 @@ impl Processor {
                         },
                     );
                 }
-                Instr::Prefetch { addr, exclusive } => {
-                    let src1 = e.src1.and_then(|s| s.value());
-                    let a = addr.eval(|_| src1.expect("index operand ready"));
-                    {
-                        let e = self.rob.entry_mut(seq).expect("present");
-                        e.addr = Some(a);
-                        e.dispatched = true;
-                    }
+                Instr::Prefetch { exclusive, .. } => {
                     self.sw_prefetches.push_back((seq, a, exclusive));
                 }
-                other => {
-                    // The fetch stage only queues memory ops; anything else
-                    // here is a dispatch-bookkeeping breach. Drop it and
-                    // report, rather than unwinding mid-cycle.
-                    self.set_fault(SimError::protocol(
-                        now,
-                        Some(self.id),
-                        None,
-                        format!("non-memory instruction {other:?} in the address queue"),
-                    ));
-                    self.addr_queue.pop_front();
-                    continue;
-                }
+                // Every other instruction left at the `let ... else` above.
+                _ => {}
             }
-            self.addr_queue.pop_front();
-            self.progress = true;
         }
     }
 
@@ -1479,10 +1480,7 @@ impl Processor {
                     _ => continue,
                 }
             }
-            let result = match rmw {
-                Some(kind) => mem.issue_demand_rmw(self.id, addr, kind, value),
-                None => mem.issue_demand_write(self.id, addr, value),
-            };
+            let result = mem.issue_demand_write(self.id, addr, rmw, value);
             match result {
                 IssueResult::Hit { token } => {
                     let old = mem.take_bound_value(token);
@@ -1606,7 +1604,7 @@ impl Processor {
                 LoadKind::Plain => mem.issue_demand_read(self.id, addr),
                 LoadKind::RmwSplit => mem.issue_demand_read_ex(self.id, addr),
                 LoadKind::RmwConv { kind, operand } => {
-                    mem.issue_demand_rmw(self.id, addr, kind, operand)
+                    mem.issue_demand_write(self.id, addr, Some(kind), operand)
                 }
             };
             let is_spec_entry = self.specbuf.get(seq).is_some();

@@ -38,8 +38,10 @@ impl Litmus {
         let r = mcsim_oracle::outcomes(model, &self.programs, &self.init, OracleConfig::default());
         assert!(
             r.complete,
-            "{}: oracle exceeded its state budget under {model}",
-            self.name
+            "{}: oracle stopped under {model}: {}",
+            self.name,
+            r.error
+                .map_or_else(|| "state budget exceeded".into(), |e| e.to_string())
         );
         r.outcomes.into_iter().collect()
     }

@@ -565,7 +565,10 @@ fn cmd_oracle_enumerate(argv: &[String]) -> Result<(), String> {
         mcsim::oracle::OracleConfig::default(),
     );
     if !r.complete {
-        return Err("state budget exceeded; outcome set would be incomplete".into());
+        return Err(r.error.map_or_else(
+            || "state budget exceeded; outcome set would be incomplete".into(),
+            |e| e.to_string(),
+        ));
     }
     println!("{} allowed final states under {}:", r.outcomes.len(), model);
     print!("{}", mcsim::oracle::format_outcomes(&r.outcomes));

@@ -25,6 +25,7 @@ use mcsim::workloads::generators::{self, RandomParams};
 use mcsim::workloads::litmus::{self, Litmus};
 use mcsim_consistency::{AccessClass, Model};
 use mcsim_isa::MemFlavor;
+use mcsim_mem::Protocol;
 use mcsim_proc::Techniques;
 use std::collections::BTreeMap;
 
@@ -121,6 +122,40 @@ fn random_racy_programs_conform_under_every_model() {
             }
         }
     }
+}
+
+/// Update-protocol write serialization: in `random_racy {2, 4, 3}` seed
+/// 138 under SC, each processor once saw the other's write to a word
+/// last, because a writer's own copy took its value when the write issued
+/// rather than in the directory's order.
+#[test]
+fn update_protocol_writers_see_the_directory_order() {
+    let seed = 138;
+    let params = RandomParams {
+        procs: 2,
+        ops: 4,
+        addrs: 3,
+        seed,
+    };
+    let l = Litmus {
+        name: "random-racy",
+        programs: generators::random_racy(&params),
+        init: BTreeMap::new(),
+    };
+    let allowed = l.allowed_outcomes(Model::Sc);
+    let mut cfg = conformance_config(Model::Sc, Techniques::NONE, seed);
+    cfg.mem.protocol = Protocol::Update;
+    let report = l.run(cfg);
+    assert!(
+        report.failure.is_none() && !report.timed_out,
+        "{}",
+        report.summary()
+    );
+    assert!(
+        in_allowed_set(&l, &allowed, &report),
+        "random seed {seed} @ SC/base under Update: outcome outside the allowed set\n{}",
+        report.summary()
+    );
 }
 
 /// The access classes that occur in litmus programs — the five Figure 1

@@ -339,3 +339,103 @@ fn every_first_fault_class_is_detected() {
         }
     }
 }
+
+#[test]
+fn misaligned_word_addresses_are_typed_errors_not_panics() {
+    use mcsim::mem::Protocol;
+    use mcsim::sim::SimErrorKind;
+    use mcsim_isa::asm::assemble;
+    use mcsim_isa::ValidationError;
+    use mcsim_oracle::{OracleConfig, OracleError};
+
+    // A static misaligned address fails in the assembler and the builder.
+    let e = assemble("repro", "st [0x10003], 1\nld r1, [0x10000]\nhalt\n").unwrap_err();
+    assert!(e.msg.contains("not 8-byte aligned"), "{e}");
+    let e = ProgramBuilder::new("b")
+        .store(0x10003u64, 1u64)
+        .halt()
+        .build()
+        .unwrap_err();
+    assert_eq!(
+        e,
+        ValidationError::MisalignedAddress {
+            at: 0,
+            addr: 0x10003
+        }
+    );
+
+    // A computed one fails the run at address generation, and the oracle.
+    let p = assemble(
+        "computed",
+        "add r2, 0, 3\nst [0x10000+r2], 1\nld r1, [0x10000]\nhalt\n",
+    )
+    .unwrap();
+    for t in Techniques::ALL {
+        for protocol in [Protocol::Invalidate, Protocol::Update] {
+            let mut cfg = Cfg::paper_with(Model::Sc, t);
+            cfg.mem.protocol = protocol;
+            let r = Machine::new(cfg, vec![p.clone()]).run();
+            let f = r.failure.expect("a misaligned access fails the run");
+            assert_eq!(
+                f.kind,
+                SimErrorKind::Misaligned {
+                    addr: 0x10003,
+                    pc: 1
+                },
+                "{}/{protocol:?}",
+                t.label()
+            );
+        }
+    }
+    let r = mcsim_oracle::outcomes(
+        Model::Sc,
+        &[p],
+        &std::collections::BTreeMap::new(),
+        OracleConfig::default(),
+    );
+    assert!(!r.complete);
+    assert_eq!(
+        r.error,
+        Some(OracleError::Misaligned {
+            proc: 0,
+            pc: 1,
+            addr: 0x10003
+        })
+    );
+}
+
+#[test]
+fn a_misaligned_access_on_a_squashed_path_is_no_error() {
+    use mcsim::mem::Protocol;
+    use mcsim_oracle::OracleConfig;
+
+    // The guard reads 0, so the branch is taken and the misaligned store
+    // never executes. Predicted not-taken, the store is fetched and its
+    // address computed long before the load's miss resolves the branch.
+    let p = mcsim_isa::asm::assemble(
+        "wrong-path",
+        "add r2, 0, 3\nld r4, [0x1000]\nbeq.nt r4, 0, done\nst [0x10000+r2], 1\ndone:\nhalt\n",
+    )
+    .unwrap();
+    for model in Model::ALL_EXTENDED {
+        for t in Techniques::ALL {
+            for protocol in [Protocol::Invalidate, Protocol::Update] {
+                let mut cfg = Cfg::paper_with(model, t);
+                cfg.mem.protocol = protocol;
+                let r = Machine::new(cfg, vec![p.clone()]).run();
+                let at = format!("{model}/{}/{protocol:?}", t.label());
+                assert!(r.failure.is_none(), "{at}: {:?}", r.failure);
+                assert_eq!(r.total.branch_mispredicts, 1, "{at}");
+                assert_eq!(r.mem_word(0x10000), 0, "{at}");
+            }
+        }
+    }
+    let r = mcsim_oracle::outcomes(
+        Model::Sc,
+        &[p],
+        &std::collections::BTreeMap::new(),
+        OracleConfig::default(),
+    );
+    assert!(r.complete, "{:?}", r.error);
+    assert_eq!(r.outcomes.len(), 1);
+}
