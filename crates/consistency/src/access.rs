@@ -80,18 +80,6 @@ impl AccessClass {
     pub fn is_release(self) -> bool {
         self.flavor == MemFlavor::Release
     }
-
-    /// The coarse [`AccessCategory`] used for outstanding-access counting.
-    #[must_use]
-    pub fn category(self) -> AccessCategory {
-        match (self.flavor, self.reads, self.writes) {
-            (MemFlavor::Acquire, _, _) => AccessCategory::Acquire,
-            (MemFlavor::Release, _, _) => AccessCategory::Release,
-            (MemFlavor::Ordinary, true, true) => AccessCategory::OrdinaryRmw,
-            (MemFlavor::Ordinary, true, false) => AccessCategory::OrdinaryLoad,
-            (MemFlavor::Ordinary, _, _) => AccessCategory::OrdinaryStore,
-        }
-    }
 }
 
 impl fmt::Display for AccessClass {
@@ -107,139 +95,6 @@ impl fmt::Display for AccessClass {
             MemFlavor::Acquire => write!(f, "{base}.acq"),
             MemFlavor::Release => write!(f, "{base}.rel"),
         }
-    }
-}
-
-/// Coarse categories for counting incomplete earlier accesses.
-///
-/// The delay-arc relation only depends on an earlier access through its
-/// class, so a *count of incomplete earlier accesses per category* is a
-/// sufficient summary to decide whether a later access may perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AccessCategory {
-    /// Ordinary data load.
-    OrdinaryLoad,
-    /// Ordinary data store.
-    OrdinaryStore,
-    /// Ordinary (non-sync) read-modify-write.
-    OrdinaryRmw,
-    /// Acquire access (load or RMW).
-    Acquire,
-    /// Release access (store).
-    Release,
-}
-
-impl AccessCategory {
-    /// Every category, in display order.
-    pub const ALL: [AccessCategory; 5] = [
-        AccessCategory::OrdinaryLoad,
-        AccessCategory::OrdinaryStore,
-        AccessCategory::OrdinaryRmw,
-        AccessCategory::Acquire,
-        AccessCategory::Release,
-    ];
-
-    /// A representative [`AccessClass`] for the category (used to query the
-    /// pairwise delay relation with a category as the earlier end).
-    #[must_use]
-    pub fn representative(self) -> AccessClass {
-        match self {
-            AccessCategory::OrdinaryLoad => AccessClass::LOAD,
-            AccessCategory::OrdinaryStore => AccessClass::STORE,
-            AccessCategory::OrdinaryRmw => AccessClass {
-                reads: true,
-                writes: true,
-                flavor: MemFlavor::Ordinary,
-            },
-            AccessCategory::Acquire => AccessClass::ACQUIRE_RMW,
-            AccessCategory::Release => AccessClass::RELEASE_STORE,
-        }
-    }
-
-    fn idx(self) -> usize {
-        match self {
-            AccessCategory::OrdinaryLoad => 0,
-            AccessCategory::OrdinaryStore => 1,
-            AccessCategory::OrdinaryRmw => 2,
-            AccessCategory::Acquire => 3,
-            AccessCategory::Release => 4,
-        }
-    }
-}
-
-impl fmt::Display for AccessCategory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AccessCategory::OrdinaryLoad => "load",
-            AccessCategory::OrdinaryStore => "store",
-            AccessCategory::OrdinaryRmw => "rmw",
-            AccessCategory::Acquire => "acquire",
-            AccessCategory::Release => "release",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Counts of *incomplete earlier* accesses, per category, for one access
-/// about to be checked against the delay arcs.
-///
-/// Maintained by the load/store unit: increment on issue (or on entry to a
-/// buffer), decrement when the access performs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Outstanding {
-    counts: [u32; 5],
-}
-
-impl Outstanding {
-    /// No incomplete earlier accesses.
-    #[must_use]
-    pub fn none() -> Self {
-        Outstanding::default()
-    }
-
-    /// Records an incomplete earlier access of class `c`.
-    pub fn add(&mut self, c: AccessClass) {
-        self.counts[c.category().idx()] += 1;
-    }
-
-    /// Removes a completed access of class `c`.
-    ///
-    /// # Panics
-    /// If no access of that category was outstanding (a bookkeeping bug in
-    /// the caller).
-    pub fn remove(&mut self, c: AccessClass) {
-        let i = c.category().idx();
-        assert!(
-            self.counts[i] > 0,
-            "outstanding-set underflow for category {}",
-            c.category()
-        );
-        self.counts[i] -= 1;
-    }
-
-    /// Count outstanding in one category.
-    #[must_use]
-    pub fn count(&self, cat: AccessCategory) -> u32 {
-        self.counts[cat.idx()]
-    }
-
-    /// Total outstanding accesses.
-    #[must_use]
-    pub fn total(&self) -> u32 {
-        self.counts.iter().sum()
-    }
-
-    /// Whether nothing is outstanding.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0
-    }
-
-    /// Iterates over categories with a nonzero outstanding count.
-    pub fn nonzero(&self) -> impl Iterator<Item = (AccessCategory, u32)> + '_ {
-        AccessCategory::ALL
-            .into_iter()
-            .filter_map(|cat| (self.counts[cat.idx()] > 0).then_some((cat, self.counts[cat.idx()])))
     }
 }
 
@@ -278,42 +133,6 @@ mod tests {
         assert_eq!(AccessClass::of_instr(&tas), Some(AccessClass::ACQUIRE_RMW));
 
         assert_eq!(AccessClass::of_instr(&Instr::Nop), None);
-    }
-
-    #[test]
-    fn categories_roundtrip_through_representatives() {
-        for cat in AccessCategory::ALL {
-            assert_eq!(cat.representative().category(), cat);
-        }
-    }
-
-    #[test]
-    fn outstanding_add_remove() {
-        let mut o = Outstanding::none();
-        assert!(o.is_empty());
-        o.add(AccessClass::LOAD);
-        o.add(AccessClass::LOAD);
-        o.add(AccessClass::RELEASE_STORE);
-        assert_eq!(o.count(AccessCategory::OrdinaryLoad), 2);
-        assert_eq!(o.count(AccessCategory::Release), 1);
-        assert_eq!(o.total(), 3);
-        o.remove(AccessClass::LOAD);
-        assert_eq!(o.count(AccessCategory::OrdinaryLoad), 1);
-        let nz: Vec<_> = o.nonzero().collect();
-        assert_eq!(
-            nz,
-            vec![
-                (AccessCategory::OrdinaryLoad, 1),
-                (AccessCategory::Release, 1)
-            ]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn outstanding_underflow_panics() {
-        let mut o = Outstanding::none();
-        o.remove(AccessClass::LOAD);
     }
 
     #[test]

@@ -22,8 +22,12 @@
 //! logic (`mcsim-proc`'s baseline mode) and the speculative-load buffer's
 //! retirement conditions are driven by the [`must_delay`] relation defined
 //! here, so the simulator cannot drift from the model definitions.
+//! [`must_order`] adds per-location program order to the arcs; the
+//! oracle and the store buffer ask it, so same-address order has one
+//! home too.
 //!
 //! [`must_delay`]: Model::must_delay
+//! [`must_order`]: Model::must_order
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,5 +36,5 @@ pub mod access;
 pub mod model;
 pub mod table;
 
-pub use access::{AccessCategory, AccessClass, Outstanding};
+pub use access::AccessClass;
 pub use model::Model;

@@ -1,7 +1,8 @@
 //! The consistency models and their delay-arc relations (Figure 1),
 //! plus the TSO/PSO store-buffer models between SC and WC.
 
-use crate::access::{AccessClass, Outstanding};
+use crate::access::AccessClass;
+use mcsim_isa::Addr;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -86,10 +87,10 @@ impl Model {
     /// be delayed until `earlier` (which precedes it in program order) has
     /// performed?
     ///
-    /// Only *consistency* constraints are captured here. Uniprocessor data
-    /// and control dependences (same-address ordering, store-to-load
-    /// forwarding, address dependences) are enforced unconditionally by the
-    /// processor model and are deliberately not part of this relation.
+    /// Only *consistency* constraints between access classes are captured
+    /// here. Same-address order is the uniprocessor half of the rule and
+    /// lives in [`Model::must_order`], which every caller that knows both
+    /// addresses asks instead.
     #[must_use]
     pub fn must_delay(self, earlier: AccessClass, later: AccessClass) -> bool {
         // An ordinary *pure* store / load (not an RMW, not sync) — the only
@@ -159,15 +160,18 @@ impl Model {
         }
     }
 
-    /// Whether an access of class `later` may *perform* given the set of
-    /// incomplete earlier accesses — the question the conventional
-    /// implementation asks before issuing, and the speculative-load buffer
-    /// asks before retiring an entry.
+    /// The one ordering rule: must `later` stay behind `earlier` (which
+    /// precedes it in program order on the same processor)? Either a
+    /// delay arc orders the pair, or both name the same word —
+    /// per-location program order, which no model relaxes.
+    ///
+    /// How the order is kept is the caller's business: the oracle performs
+    /// `later` only after `earlier`; the store buffer issues a same-word
+    /// store only after the earlier one has issued, because the memory
+    /// system keeps one processor's same-line requests in issue order.
     #[must_use]
-    pub fn may_perform(self, later: AccessClass, outstanding: &Outstanding) -> bool {
-        outstanding
-            .nonzero()
-            .all(|(cat, _)| !self.must_delay(cat.representative(), later))
+    pub fn must_order(self, earlier: (AccessClass, Addr), later: (AccessClass, Addr)) -> bool {
+        earlier.1 == later.1 || self.must_delay(earlier.0, later.0)
     }
 
     /// Strictness rank: lower = stricter (SC is 0).
@@ -211,7 +215,6 @@ impl std::str::FromStr for Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessCategory;
 
     const LD: AccessClass = AccessClass::LOAD;
     const ST: AccessClass = AccessClass::STORE;
@@ -307,25 +310,20 @@ mod tests {
     }
 
     #[test]
-    fn may_perform_respects_counts() {
-        let mut o = Outstanding::none();
-        // Nothing outstanding: everything may perform under every model.
-        for m in Model::ALL {
-            assert!(m.may_perform(LD, &o));
-            assert!(m.may_perform(REL, &o));
+    fn must_order_adds_same_address_to_the_arcs() {
+        let (x, y) = (Addr(0x40), Addr(0x80));
+        for m in Model::ALL_EXTENDED {
+            for e in [LD, ST, ACQ, ACQ_LD, REL] {
+                for l in [LD, ST, ACQ, ACQ_LD, REL] {
+                    assert!(m.must_order((e, x), (l, x)), "{m}: {e} -> {l} same word");
+                    assert_eq!(m.must_order((e, x), (l, y)), m.must_delay(e, l), "{m}");
+                }
+            }
         }
-        // One outstanding ordinary store.
-        o.add(ST);
-        assert!(!Model::Sc.may_perform(LD, &o));
-        assert!(Model::Pc.may_perform(LD, &o), "PC read bypasses write");
-        assert!(Model::Rc.may_perform(LD, &o));
-        assert!(!Model::Rc.may_perform(REL, &o), "release waits for store");
-        o.remove(ST);
-        // One outstanding acquire blocks everything under RC.
-        o.add(ACQ);
-        assert!(!Model::Rc.may_perform(LD, &o));
-        assert!(!Model::Rc.may_perform(ST, &o));
-        assert_eq!(o.count(AccessCategory::Acquire), 1);
+        // Shape E: under RC a store after a release has no arc, but the
+        // same word still orders it.
+        assert!(!Model::Rc.must_delay(REL, ST));
+        assert!(Model::Rc.must_order((REL, x), (ST, x)));
     }
 
     #[test]

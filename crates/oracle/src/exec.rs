@@ -3,7 +3,7 @@
 
 use crate::{OracleConfig, OracleError, OracleResult, Outcome};
 use mcsim_consistency::{AccessClass, Model};
-use mcsim_isa::{AddrExpr, AluOp, Instr, Operand, Program, RmwKind, NUM_REGS};
+use mcsim_isa::{Addr, AddrExpr, AluOp, Instr, Operand, Program, RmwKind, NUM_REGS};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// A register or operand value: concrete, or the tag of a pending entry
@@ -332,9 +332,7 @@ fn may_perform(model: Model, q: &[Entry], i: usize) -> bool {
     }
     q[..i].iter().all(|e| match e.mem() {
         None => true,
-        // Earlier same-address accesses order unconditionally (per-location
-        // program order); otherwise only the model's delay arcs constrain.
-        Some((ec, ea)) => ea != addr && !model.must_delay(ec, class),
+        Some((ec, ea)) => !model.must_order((ec, Addr(ea)), (class, Addr(addr))),
     })
 }
 

@@ -31,8 +31,9 @@
 //!    cache port; merges with outstanding prefetches are port-free.
 //! 8. **Load issue** — speculative mode: loads issue as soon as their
 //!    address is known; conventional mode: the oldest waiting load
-//!    issues only when the model's `may_perform` allows. Store-to-load
-//!    forwarding is checked first in both modes.
+//!    issues only when no incomplete older access has a delay arc into
+//!    it (`Model::must_delay`). Store-to-load forwarding is checked
+//!    first in both modes.
 //! 9. **Prefetch** — one hardware prefetch per free port cycle for
 //!    consistency-delayed buffer entries (§3.2).
 //!
@@ -47,7 +48,7 @@ use crate::rob::{Rob, Seq};
 use crate::specbuf::{SpecEntry, SpeculativeLoadBuffer};
 use crate::stats::ProcStats;
 use crate::storebuf::{ForwardResult, SbEntry, SbState, StoreBuffer};
-use mcsim_consistency::{AccessClass, Model, Outstanding};
+use mcsim_consistency::{AccessClass, Model};
 use mcsim_guard::{FxHashMap, InvariantKind, SimError, StalledProc};
 use mcsim_isa::reg::RegFile;
 use mcsim_isa::{Addr, Instr, LineAddr, Program, RmwKind};
@@ -1707,35 +1708,22 @@ impl Processor {
     }
 
     /// The conventional implementation's gate: may an access of `class`
-    /// perform given the incomplete earlier accesses?
+    /// perform now? Not while an incomplete older access has a delay arc
+    /// into it: a pure load or unsplit RMW still in the reorder buffer, or
+    /// anything in the store buffer (stores may outlive their ROB entries
+    /// under WC/RC). Same-address order is kept by the store buffer's
+    /// forwarding check and by in-order issue.
     fn may_perform_now(&self, seq: Seq, class: AccessClass) -> bool {
-        self.model.may_perform(class, &self.outstanding_before(seq))
-    }
-
-    /// Incomplete memory accesses older than `seq`: pure loads still in
-    /// the reorder buffer plus everything in the store buffer (stores may
-    /// outlive their ROB entries under WC/RC).
-    fn outstanding_before(&self, seq: Seq) -> Outstanding {
-        let mut o = Outstanding::none();
-        for e in self.rob.iter() {
-            if e.seq >= seq {
-                break;
-            }
-            if !e.instr.is_mem() || e.in_store_buffer {
-                continue;
-            }
-            if !e.mem_performed {
-                if let Some(c) = AccessClass::of_instr(&e.instr) {
-                    o.add(c);
-                }
-            }
-        }
-        for j in self.sb.iter() {
-            if j.seq < seq {
-                o.add(j.class);
-            }
-        }
-        o
+        let in_rob = self
+            .rob
+            .iter()
+            .take_while(|e| e.seq < seq)
+            .filter(|e| !e.in_store_buffer && !e.mem_performed)
+            .filter_map(|e| AccessClass::of_instr(&e.instr));
+        let buffered = self.sb.iter().take_while(|j| j.seq < seq).map(|j| j.class);
+        !in_rob
+            .chain(buffered)
+            .any(|earlier| self.model.must_delay(earlier, class))
     }
 
     // ------------------------------------------------------------------

@@ -11,10 +11,15 @@
 //!    mechanism described is stricter than what RC requires, the
 //!    conservative implementation is required for providing precise
 //!    interrupts").
-//! 2. **Store-side delay arcs** — an entry may not issue while an earlier
-//!    incomplete entry `j` exists with `must_delay(j, me)`. Under SC/PC
-//!    this serializes stores; under RC ordinary stores pipeline and only a
-//!    release waits for everything before it.
+//! 2. **Store-side ordering** — [`Model::must_order`] decides which
+//!    earlier entries `j` an entry must stay behind. Where a delay arc
+//!    orders the pair (`must_delay(j, me)`), the entry waits until `j` has
+//!    performed: under SC/PC this serializes stores; under RC ordinary
+//!    stores pipeline and only a release waits for everything before it.
+//!    A same-word pair without an arc waits only while `j` cannot issue
+//!    this cycle (unreleased, or itself blocked): the memory system keeps
+//!    one processor's same-line requests in issue order, so issuing after
+//!    `j` is performing after `j`.
 //!
 //! The buffer also answers dependence checks from later loads
 //! (store-to-load forwarding) and feeds the prefetch unit with delayed
@@ -134,19 +139,28 @@ impl StoreBuffer {
         self.entries.iter_mut().find(|e| e.seq == seq)
     }
 
-    /// Whether `me` is blocked by an earlier incomplete entry under
-    /// `model`'s store-side delay arcs.
+    /// Whether `me` must wait for an earlier entry this cycle (gate 2 of
+    /// the module doc): an earlier incomplete entry with a delay arc into
+    /// `me`, or an earlier same-word entry that cannot issue yet.
+    ///
+    /// A same-word entry `j` cannot issue while it is unreleased or itself
+    /// blocked. If `j` is blocked by an older same-word entry `k`, then `k`
+    /// cannot issue either and blocks `me` directly, so only `j`'s own
+    /// delay arcs need checking, not the chain below it.
     #[must_use]
     pub fn blocked_by_earlier(&self, model: Model, me: &SbEntry) -> bool {
-        self.entries
-            .iter()
-            .take_while(|j| j.seq < me.seq)
-            .any(|j| model.must_delay(j.class, me.class))
+        let earlier = |seq: Seq| self.entries.iter().take_while(move |j| j.seq < seq);
+        let arc = |x: &SbEntry| earlier(x.seq).any(|j| model.must_delay(j.class, x.class));
+        earlier(me.seq).any(|j| {
+            model.must_order((j.class, j.addr), (me.class, me.addr))
+                && (model.must_delay(j.class, me.class)
+                    || (matches!(j.state, SbState::Waiting) && (!j.rob_released || arc(j))))
+        })
     }
 
     /// Fills `out` with the sequence numbers of entries eligible to issue
-    /// this cycle, oldest first: released, still waiting, and not blocked
-    /// by an earlier entry's delay arc.
+    /// this cycle, oldest first: released, still waiting, and not
+    /// [blocked by an earlier entry](Self::blocked_by_earlier).
     pub fn issuable(&self, model: Model, out: &mut Vec<Seq>) {
         out.clear();
         out.extend(
@@ -307,6 +321,43 @@ mod tests {
         sb.complete(1);
         sb.complete(2);
         assert_eq!(issuable(&sb, Model::Rc), vec![3]);
+    }
+
+    #[test]
+    fn same_word_store_stays_behind_a_blocked_release() {
+        // Shape E: `st [0x100]; st.rel [0x40]; st [0x40]` under RC.
+        let mut sb = StoreBuffer::new();
+        sb.push(entry(1, AccessClass::STORE, 0x100));
+        sb.push(entry(2, AccessClass::RELEASE_STORE, 0x40));
+        sb.push(entry(3, AccessClass::STORE, 0x40));
+        sb.push(entry(4, AccessClass::STORE, 0x200));
+        for seq in 1..=4 {
+            sb.mark_released(seq);
+        }
+        // The release waits for store 1; store 3 waits for the release;
+        // store 4, to another word, still pipelines.
+        assert_eq!(issuable(&sb, Model::Rc), vec![1, 4]);
+        assert_eq!(
+            candidates(&sb, Model::Rc),
+            vec![(2, Addr(0x40), true), (3, Addr(0x40), true)]
+        );
+        sb.complete(1);
+        // Once the release can issue, so can store 3: same-word order is
+        // issue order, not completion.
+        assert_eq!(issuable(&sb, Model::Rc), vec![2, 3, 4]);
+        sb.get_mut(2).unwrap().state = SbState::Issued { txn: TxnId(1) };
+        assert_eq!(issuable(&sb, Model::Rc), vec![3, 4]);
+    }
+
+    #[test]
+    fn same_word_store_waits_for_an_unreleased_one() {
+        let mut sb = StoreBuffer::new();
+        sb.push(entry(1, AccessClass::STORE, 0x40));
+        sb.push(entry(2, AccessClass::STORE, 0x40));
+        sb.mark_released(2);
+        assert!(issuable(&sb, Model::Rc).is_empty());
+        sb.mark_released(1);
+        assert_eq!(issuable(&sb, Model::Rc), vec![1, 2]);
     }
 
     #[test]

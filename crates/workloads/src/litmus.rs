@@ -318,6 +318,26 @@ pub fn two_plus_two_w() -> Litmus {
     }
 }
 
+/// A store after a same-word release: `P0: y=14; x=35 (rel); x=73`.
+/// The release waits for `y=14`, and RC has no release → store arc, so
+/// only per-location program order keeps `x=73` last. Every model must
+/// end with x = 73.
+#[must_use]
+pub fn release_overtake() -> Litmus {
+    let p0 = ProgramBuilder::new("ro-p0")
+        .store(Y, 14u64)
+        .store_release(X, 35u64)
+        .store(X, 73u64)
+        .halt()
+        .build()
+        .unwrap();
+    Litmus {
+        name: "release-overtake",
+        programs: vec![p0],
+        init: BTreeMap::new(),
+    }
+}
+
 /// The standard suite.
 #[must_use]
 pub fn standard_suite() -> Vec<Litmus> {
@@ -343,6 +363,7 @@ pub fn conformance_corpus() -> Vec<Litmus> {
         iriw(),
         coherence_rr(),
         two_plus_two_w(),
+        release_overtake(),
     ]
 }
 

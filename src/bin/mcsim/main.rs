@@ -85,7 +85,8 @@ OPTIONS (run):
                                   false-sharing[:procs[:iters[:stride]]]
     --litmus <name>               run a conformance-corpus litmus instead of
                                   .s files (store-buffering, message-passing,
-                                  load-buffering, iriw, coherence-rr, 2+2w)
+                                  load-buffering, iriw, coherence-rr, 2+2w,
+                                  release-overtake)
     --invariants <n|off>          invariant-check period in cycles; 0 = auto
                                   (every cycle in debug / strict builds,
                                   every 1024 in release)    [default: 0]

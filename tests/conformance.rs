@@ -97,6 +97,62 @@ fn two_plus_two_w_conforms() {
 }
 
 #[test]
+fn release_overtake_conforms() {
+    assert_litmus_conforms(&litmus::release_overtake());
+}
+
+/// Intel SDM Vol. 3A §8.2.3.5, Example 8-5: `x=1; r1=x; r2=y` ∥
+/// `y=1; r1=y; r2=x`. A store-buffer machine lets each processor read
+/// its own store early (r1 = 1) and then read the other's location
+/// before that store is visible, so r2 = 0 on both sides is allowed
+/// under TSO, PSO and PC.
+///
+/// This pins shape C, a known deviation of the oracle: it never lets a
+/// load take its own processor's pending store early, so it forbids
+/// that outcome under TSO/PSO/PC today. The fix for shape C must flip
+/// the first half of this test (forbidden → allowed); WC and RC allow
+/// it through their missing load → load arc either way.
+#[test]
+fn intel_8_5_read_own_write_early_is_a_known_oracle_deviation() {
+    use mcsim_isa::reg::{R1, R2};
+    use mcsim_isa::ProgramBuilder;
+
+    const X: u64 = 0x1000;
+    const Y: u64 = 0x1100;
+    let side = |name: &'static str, mine: u64, theirs: u64| {
+        ProgramBuilder::new(name)
+            .store(mine, 1u64)
+            .load(R1, mine)
+            .load(R2, theirs)
+            .halt()
+            .build()
+            .unwrap()
+    };
+    let l = Litmus {
+        name: "intel-8-5",
+        programs: vec![side("p0", X, Y), side("p1", Y, X)],
+        init: BTreeMap::new(),
+    };
+    let both_zero = |model: Model| {
+        l.allowed_outcomes(model)
+            .iter()
+            .any(|o| o.reg(0, R2) == 0 && o.reg(1, R2) == 0)
+    };
+    for model in [Model::Tso, Model::Pso, Model::Pc] {
+        assert!(
+            !both_zero(model),
+            "{model}: the oracle now forwards own stores"
+        );
+    }
+    for model in [Model::Wc, Model::RcSc, Model::Rc] {
+        assert!(
+            both_zero(model),
+            "{model}: r2 = 0 on both sides must be allowed"
+        );
+    }
+}
+
+#[test]
 fn random_racy_programs_conform_under_every_model() {
     for seed in 0..SEEDS {
         let params = RandomParams {

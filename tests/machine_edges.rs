@@ -439,3 +439,94 @@ fn a_misaligned_access_on_a_squashed_path_is_no_error() {
     assert!(r.complete, "{:?}", r.error);
     assert_eq!(r.outcomes.len(), 1);
 }
+
+#[test]
+fn a_store_never_overtakes_an_earlier_same_word_release() {
+    use mcsim::mem::Protocol;
+
+    // Shape E: the release waits for the first store (store -> release
+    // arc), and RC has no release -> store arc, so only same-word order
+    // keeps the last store behind the release. WC orders it by the arc
+    // and is the control.
+    let p = mcsim_isa::asm::assemble(
+        "release-overtake",
+        "st [0x10080], 14\nst.rel [0x10040], 35\nst [0x10040], 73\nhalt\n",
+    )
+    .unwrap();
+    for model in [Model::Rc, Model::RcSc, Model::Wc] {
+        for t in Techniques::ALL {
+            for protocol in [Protocol::Invalidate, Protocol::Update] {
+                let mut cfg = Cfg::paper_with(model, t);
+                cfg.mem.protocol = protocol;
+                let r = Machine::new(cfg, vec![p.clone()]).run();
+                let at = format!("{model}/{}/{protocol:?}", t.label());
+                assert!(r.failure.is_none(), "{at}: {:?}", r.failure);
+                assert_eq!(r.mem_word(0x10040), 73, "{at}");
+                assert_eq!(r.mem_word(0x10080), 14, "{at}");
+            }
+        }
+    }
+}
+
+/// Runs `src` alone under `model` with no technique and tracing on, and
+/// returns the cycle the load at `load_addr` issued and the cycle the
+/// access at `first_addr` performed.
+fn load_issue_and_first_perform(
+    model: Model,
+    src: &str,
+    load_addr: u64,
+    first_addr: u64,
+) -> (u64, u64) {
+    use mcsim::trace::TraceKind;
+
+    let p = mcsim_isa::asm::assemble("gate", src).unwrap();
+    let mut cfg = Cfg::paper_with(model, Techniques::NONE);
+    cfg.trace = true;
+    let r = Machine::new(cfg, vec![p]).run();
+    assert!(r.failure.is_none(), "{:?}", r.failure);
+    let issue = r
+        .trace
+        .iter()
+        .find(|e| matches!(&e.kind, TraceKind::LoadIssue { addr, .. } if addr.0 == load_addr))
+        .expect("the later load issued");
+    let performed = r
+        .trace
+        .iter()
+        .find(|e| matches!(&e.kind, TraceKind::Performed { addr } if addr.0 == first_addr))
+        .expect("the earlier access performed");
+    (issue.cycle, performed.cycle)
+}
+
+#[test]
+fn conventional_pc_load_waits_for_an_earlier_release_rmw() {
+    // Under PC an access that reads orders every later access. A gate
+    // that judges the RMW by its release flavor alone sees a release
+    // *store*, and lets the load issue 99 cycles early.
+    let (issue, performed) = load_issue_and_first_perform(
+        Model::Pc,
+        "fadd.rel r1, [0x10040], 0\nld r2, [0x10000]\nhalt\n",
+        0x10000,
+        0x10040,
+    );
+    assert!(
+        issue >= performed,
+        "load issued at {issue}, RMW performed at {performed}"
+    );
+}
+
+#[test]
+fn conventional_rc_acquire_waits_for_an_earlier_release_load() {
+    // Under RC special accesses obey PC among themselves, so a release
+    // *load* orders a later acquire; judged as a release store, it would
+    // not.
+    let (issue, performed) = load_issue_and_first_perform(
+        Model::Rc,
+        "ld.rel r1, [0x10040]\nld.acq r2, [0x10000]\nhalt\n",
+        0x10000,
+        0x10040,
+    );
+    assert!(
+        issue >= performed,
+        "acquire issued at {issue}, release performed at {performed}"
+    );
+}
